@@ -374,8 +374,9 @@ func BenchmarkPhase1Incremental1000(b *testing.B) {
 // BenchmarkRepairVsDijkstra isolates the tentpole primitive: one
 // destination's SPF on the Table III 100-node RandTopo maintained
 // through link-down/link-up event pairs, by a fresh Dijkstra per event
-// versus a Ramalingam–Reps repair of the standing state (the link-event
-// path routing.Session.SetLinkState and the ctrl.Selector ride). Each
+// versus a Ramalingam–Reps repair of the standing state (the
+// single-link reference for the multi-link repair that
+// routing.Session.SetLinkStates and the ctrl.Selector ride). Each
 // iteration is two events; the FullDijkstra/Repair ns/op ratio is the
 // repair's speedup and is tracked per-PR in CI.
 func BenchmarkRepairVsDijkstra(b *testing.B) {
@@ -461,10 +462,10 @@ func BenchmarkRecomputeSerialVsParallel1000(b *testing.B) {
 // BenchmarkBatchLinkRepair measures batched multi-link repair on the
 // SRLG shape it was built for: an 8-link shared-risk group tripping and
 // restoring on a persistent session over the Table III 100-node
-// RandTopo. PerEvent applies the 16 flips one SetLinkState at a time
-// (16 classify/repair/re-sum rounds); Batched uses two SetLinkStates
-// calls (one multi-link Ramalingam–Reps pass per affected destination
-// per transition). Results are bit-identical; the PerEvent/Batched
+// RandTopo. PerEvent applies the 16 flips as 16 one-change
+// SetLinkStates calls (16 classify/repair/re-sum rounds); Batched uses
+// two SetLinkStates calls (one multi-link Ramalingam–Reps pass per
+// affected destination per transition). Results are bit-identical; the PerEvent/Batched
 // ns/op ratio is the batch speedup (acceptance bar: ≥2×).
 func BenchmarkBatchLinkRepair(b *testing.B) {
 	ev, w := benchEvaluator(b, 100, 500)
@@ -481,11 +482,11 @@ func BenchmarkBatchLinkRepair(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, li := range srlg {
-				ses.SetLinkState(li, false)
+			for j := range trip {
+				ses.SetLinkStates(trip[j : j+1])
 			}
-			for _, li := range srlg {
-				ses.SetLinkState(li, true)
+			for j := range restore {
+				ses.SetLinkStates(restore[j : j+1])
 			}
 		}
 	})
@@ -499,46 +500,6 @@ func BenchmarkBatchLinkRepair(b *testing.B) {
 			ses.SetLinkStates(restore)
 		}
 	})
-}
-
-// BenchmarkBatchDemandDelta measures the dense demand path on a
-// many-column update: a surge delta moving ~30% of the destination
-// columns (both classes), applied and inverted on a persistent session
-// over the 100-node RandTopo. PerColumn forces the sparse path (per
-// column undo stash and changed-link discovery) via threshold 1; Dense
-// is the shipped path, which refreshes the changed contributions in
-// place and re-sums every link load once. Results are bit-identical;
-// the PerColumn/Dense ns/op ratio is the dense path's speedup.
-func BenchmarkBatchDemandDelta(b *testing.B) {
-	ev, w := benchEvaluator(b, 100, 500)
-	n := ev.Graph().NumNodes()
-	surD := ev.DemandDelay().Clone()
-	surT := ev.DemandThroughput().Clone()
-	for t := 0; t < n; t += 3 {
-		for s := 0; s < n; s++ {
-			if s == t {
-				continue
-			}
-			surD.Set(s, t, surD.At(s, t)*3)
-			surT.Set(s, t, surT.At(s, t)*2)
-		}
-	}
-	onD := traffic.Diff(ev.DemandDelay(), surD)
-	onT := traffic.Diff(ev.DemandThroughput(), surT)
-	offD, offT := onD.Inverse(), onT.Inverse()
-	run := func(b *testing.B, frac float64) {
-		ses := ev.NewScenarioSession(nil, -1, nil, nil)
-		ses.SetDemandBatchThreshold(frac)
-		ses.Init(w)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ses.ApplyDemandDelta(onD, onT)
-			ses.ApplyDemandDelta(offD, offT)
-		}
-	}
-	b.Run("PerColumn", func(b *testing.B) { run(b, 1) })
-	b.Run("Dense", func(b *testing.B) { run(b, 0.1) })
 }
 
 // BenchmarkSetDemandsFullVsDelta isolates the demand-delta tentpole: a
@@ -621,13 +582,13 @@ func BenchmarkSelectorAdviseSurge(b *testing.B) {
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		t := i % n
-		if err := sel.Observe(scenario.Event{Kind: scenario.EventDemandDelta, DeltaD: onsets[t]}); err != nil {
+		if err := sel.ObserveBatch([]scenario.Event{scenario.Event{Kind: scenario.EventDemandDelta, DeltaD: onsets[t]}}, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 		if best, _ := sel.Advise(); best < 0 || best >= 8 {
 			b.Fatal("bad advice")
 		}
-		if err := sel.Observe(scenario.Event{Kind: scenario.EventDemandDelta, DeltaD: recoveries[t]}); err != nil {
+		if err := sel.ObserveBatch([]scenario.Event{scenario.Event{Kind: scenario.EventDemandDelta, DeltaD: recoveries[t]}}, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -666,13 +627,13 @@ func benchSelectorAdvise(b *testing.B) {
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		li := i % m
-		if err := sel.Observe(scenario.Event{Kind: scenario.EventLinkDown, Link: li}); err != nil {
+		if err := sel.ObserveBatch([]scenario.Event{scenario.Event{Kind: scenario.EventLinkDown, Link: li}}, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 		if best, _ := sel.Advise(); best < 0 || best >= 8 {
 			b.Fatal("bad advice")
 		}
-		if err := sel.Observe(scenario.Event{Kind: scenario.EventLinkUp, Link: li}); err != nil {
+		if err := sel.ObserveBatch([]scenario.Event{scenario.Event{Kind: scenario.EventLinkUp, Link: li}}, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -790,7 +751,7 @@ func BenchmarkFirehose(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, tb := range batches {
 				for _, e := range tb.Events {
-					if err := sel.Observe(e); err != nil {
+					if err := sel.ObserveBatch([]scenario.Event{e}, 0, 0); err != nil {
 						b.Fatal(err)
 					}
 				}

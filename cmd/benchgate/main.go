@@ -7,13 +7,16 @@
 //	benchgate -overhead -current bench.json -pairs 'BenchmarkX=BenchmarkXObsv,...' [-fail 0.05]
 //
 // Parse mode extracts every benchmark's ns/op plus any custom metrics
-// (events_per_sec, evals_per_sec, …); a benchmark appearing several
-// times keeps its fastest run, so repeated bench steps don't inflate
-// noise. Compare mode checks each baseline benchmark that also ran in
+// (events_per_sec, evals_per_sec, …) and the GOMAXPROCS it ran with (the
+// -N name suffix); a benchmark appearing several times keeps its
+// fastest run, so repeated bench steps don't inflate noise. The record
+// also stores the parsing process's CPU count and Go version, so parse
+// on the runner and toolchain that ran the benchmarks. Compare mode checks each baseline benchmark that also ran in
 // the current record: a ns/op regression of at least the -warn
 // fraction is reported, one of at least the -fail fraction fails the
 // gate (exit code 1), and improvements beyond -warn are noted so the
-// baseline can be refreshed. Baseline benchmarks missing from the
+// baseline can be refreshed. A benchmark whose GOMAXPROCS differs
+// between the records shows both values. Baseline benchmarks missing from the
 // current record warn — a gate that silently stops measuring is worse
 // than a slow one. Benchmarks only present in the current record are
 // listed as new; they join the gate when the baseline is refreshed:
@@ -35,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,6 +49,8 @@ type Benchmark struct {
 	Name    string             `json:"name"`
 	NsPerOp float64            `json:"ns_per_op"`
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// Procs is the GOMAXPROCS the benchmark ran with (0 = not recorded).
+	Procs int `json:"procs,omitempty"`
 }
 
 // Record is the machine-readable form of one bench run.
@@ -53,14 +59,17 @@ type Record struct {
 	Note string `json:"note,omitempty"`
 	// CPU echoes the "cpu:" line of the bench output, so cross-machine
 	// comparisons are recognizable as such.
-	CPU        string      `json:"cpu,omitempty"`
+	CPU string `json:"cpu,omitempty"`
+	// NumCPU and GoVersion describe the process that parsed the output.
+	NumCPU     int         `json:"num_cpu,omitempty"`
+	GoVersion  string      `json:"go_version,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
 // parseBench reads `go test -bench` text output. Lines it does not
 // recognize are ignored, so concatenated multi-step logs parse fine.
 func parseBench(r io.Reader) (Record, error) {
-	var rec Record
+	rec := Record{NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
 	idx := make(map[string]int)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
@@ -78,16 +87,18 @@ func parseBench(r io.Reader) (Record, error) {
 			continue
 		}
 		name := fields[0]
-		// Strip the -GOMAXPROCS suffix go test appends.
+		// Split off the -GOMAXPROCS suffix go test appends; it omits
+		// the suffix at GOMAXPROCS 1.
+		procs := 1
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
+			if n, err := strconv.Atoi(name[i+1:]); err == nil {
+				name, procs = name[:i], n
 			}
 		}
 		if _, err := strconv.Atoi(fields[1]); err != nil {
 			continue
 		}
-		b := Benchmark{Name: name}
+		b := Benchmark{Name: name, Procs: procs}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -163,6 +174,9 @@ func compare(base, cur Record, warn, fail float64) Comparison {
 			c.Warned = true
 		case delta <= -warn:
 			status = "ok (improved; consider refreshing the baseline)"
+		}
+		if b.Procs != 0 && nb.Procs != 0 && b.Procs != nb.Procs {
+			status += fmt.Sprintf(" [procs %d vs %d]", b.Procs, nb.Procs)
 		}
 		row("%-52s %14.0f %14.0f %+7.1f%%  %s", b.Name, b.NsPerOp, nb.NsPerOp, delta*100, status)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -55,6 +56,43 @@ func TestParseBench(t *testing.T) {
 		if b.Name == "BenchmarkSelectorAdvise" && (b.NsPerOp != 4000000 || b.Metrics["events_per_sec"] != 350) {
 			t.Fatalf("repeated benchmark did not keep fastest run: %+v", b)
 		}
+	}
+}
+
+// TestParseAndReportProcs: parse records each benchmark's GOMAXPROCS
+// (the -N suffix; none means 1) and the parsing process's CPU count and
+// Go version, and compare shows both sides' procs where they differ
+// without changing the verdict.
+func TestParseAndReportProcs(t *testing.T) {
+	base := parseSample(t, sampleBench)
+	if base.NumCPU != runtime.NumCPU() || base.GoVersion != runtime.Version() {
+		t.Fatalf("record environment = %d CPUs, %q", base.NumCPU, base.GoVersion)
+	}
+	for _, b := range base.Benchmarks {
+		if b.Procs != 8 {
+			t.Fatalf("%s: procs = %d, want 8", b.Name, b.Procs)
+		}
+	}
+	cur := parseSample(t, strings.ReplaceAll(sampleBench, "BenchmarkSelectorAdvise-8 ", "BenchmarkSelectorAdvise-2 "))
+	one := parseSample(t, "BenchmarkSelectorAdvise  20  5881731 ns/op\n")
+	if p := one.Benchmarks[0].Procs; p != 1 {
+		t.Fatalf("unsuffixed benchmark: procs = %d, want 1", p)
+	}
+	c := compare(base, cur, 0.10, 0.25)
+	if c.Failed || c.Warned {
+		t.Fatalf("a procs change alone moved the verdict:\n%s", strings.Join(c.Lines, "\n"))
+	}
+	marked := 0
+	for _, l := range c.Lines {
+		if strings.Contains(l, "[procs") {
+			marked++
+			if !strings.HasPrefix(l, "BenchmarkSelectorAdvise ") || !strings.Contains(l, "[procs 8 vs 2]") {
+				t.Fatalf("procs shown on the wrong row or in the wrong form: %q", l)
+			}
+		}
+	}
+	if marked != 1 {
+		t.Fatalf("procs shown on %d rows, want 1:\n%s", marked, strings.Join(c.Lines, "\n"))
 	}
 }
 

@@ -289,6 +289,18 @@ type planRequest struct {
 	MaxChanges int    `json:"max_changes"`
 }
 
+// maxPlanBytes caps the /plan and /apply request bodies: a plan request
+// is three short fields.
+const maxPlanBytes = 4 << 10
+
+// decodePlanRequest decodes a /plan or /apply body of at most
+// maxPlanBytes.
+func decodePlanRequest(w http.ResponseWriter, r *http.Request) (planRequest, error) {
+	var req planRequest
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPlanBytes)).Decode(&req)
+	return req, err
+}
+
 // planNetwork picks the request's network: the body field wins, then
 // the ?network= query parameter, then the fleet default.
 func planNetwork(req planRequest, r *http.Request) string {
@@ -299,8 +311,8 @@ func planNetwork(req planRequest, r *http.Request) string {
 }
 
 func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	var req planRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := decodePlanRequest(w, r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode plan request: %w", err))
 		return
 	}
@@ -313,8 +325,8 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleApply(w http.ResponseWriter, r *http.Request) {
-	var req planRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := decodePlanRequest(w, r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode apply request: %w", err))
 		return
 	}

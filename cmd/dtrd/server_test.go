@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -233,6 +234,30 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if code := postJSON(t, ts.URL+"/plan", map[string]int{"target": 99}, nil); code != http.StatusBadRequest {
 		t.Errorf("bad plan target returned %d", code)
+	}
+}
+
+// TestServerPlanApplyBodyCap: /plan and /apply read at most
+// maxPlanBytes of request body. A body past the cap — here a valid
+// apply request padded with whitespace — is rejected with 400, and the
+// fleet state is unchanged.
+func TestServerPlanApplyBodyCap(t *testing.T) {
+	ts, lib, _ := testServer(t)
+	var before repro.ControllerState
+	getJSON(t, ts.URL+"/state", &before)
+	target := (before.Active + 1) % lib.Size()
+	body := fmt.Sprintf(`{"target": %d, "max_changes": 0%s}`, target, strings.Repeat(" ", maxPlanBytes))
+	for _, path := range []string{"/plan", "/apply"} {
+		resp := postRaw(t, ts.URL+path, body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with a %d-byte body returned %d, want 400", path, len(body), resp.StatusCode)
+		}
+		var after repro.ControllerState
+		getJSON(t, ts.URL+"/state", &after)
+		if !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s with an oversized body changed the state:\n before %+v\n after  %+v", path, before, after)
+		}
 	}
 }
 

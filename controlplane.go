@@ -208,13 +208,14 @@ func (n *Network) newCore(lib *Library) (*fleet.Controller, error) {
 	return fleet.NewController(n.ev, lib.lib)
 }
 
-// Observe folds one telemetry event into the controller.
+// Observe folds one telemetry event into the controller, as a batch of
+// one.
 func (c *Controller) Observe(e ControlEvent) error {
 	ev, err := c.net.toEvent(e)
 	if err != nil {
 		return err
 	}
-	return c.core.Observe(ev)
+	return c.core.ObserveBatch([]scenario.Event{ev}, 0, 0)
 }
 
 // ObserveBatch folds an ordered batch of telemetry events into the

@@ -43,7 +43,11 @@
 // optimizing one robust routing per cluster, and a Controller tracks
 // live conditions through telemetry events, advises the best
 // configuration, and plans bounded-change migrations whose every step
-// is loop-free and SLA-checked:
+// is loop-free and SLA-checked. Observe and ObserveBatch share one
+// update path, so a single event is a batch of one: each run of link
+// events becomes one multi-link update per candidate configuration,
+// and each demand event either refreshes the destination columns it
+// changes or, past a threshold, rebases from scratch:
 //
 //	lib, _ := net.BuildLibrary(set, repro.LibraryOptions{Size: 4})
 //	ctrl, _ := net.NewController(lib)

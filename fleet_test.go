@@ -2,7 +2,10 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -295,8 +298,54 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := NewFleet([]FleetMember{cross}, FleetOptions{}); err == nil || !strings.Contains(err.Error(), "different network") {
 		t.Errorf("cross-network library error = %v", err)
 	}
-	if _, err := NewFleet(members, FleetOptions{Intake: IntakeOptions{Tap: func([]string) {}}}); err == nil {
-		t.Error("fleet-wide Tap accepted")
+}
+
+// TestFleetReplaySurgeLogsDeltasOnly: a durable fleet replaying a
+// hot-spot surge writes the sparse deltas to its event log and no dense
+// n×n matrices.
+func TestFleetReplaySurgeLogsDeltasOnly(t *testing.T) {
+	net, err := NewNetwork(NetworkSpec{Topology: "rand", Nodes: 8, Links: 32, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, _ := controlTestLibrary(t, net)
+	dir := t.TempDir()
+	f, err := NewFleet([]FleetMember{{Name: "east", Net: net, Library: lib}}, FleetOptions{CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeFleet(t, f)
+	surges := net.HotspotSurgeScenarios(true, 2, 5)
+	for i := 0; i < surges.Size(); i++ {
+		for _, onset := range []bool{true, false} {
+			if err := f.ReplayEpisode("east", surges, i, onset); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "east", "events.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var rec struct {
+			Event map[string]json.RawMessage `json:"event"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log record %q: %v", line, err)
+		}
+		if string(rec.Event["kind"]) == `"demand-delta"` {
+			deltas++
+		}
+		for _, field := range []string{"demd", "demt"} {
+			if _, ok := rec.Event[field]; ok {
+				t.Fatalf("log record carries a dense %s matrix: %.200s", field, line)
+			}
+		}
+	}
+	if deltas != 2*surges.Size() {
+		t.Fatalf("logged %d demand-delta records, want %d", deltas, 2*surges.Size())
 	}
 }
 

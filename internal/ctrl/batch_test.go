@@ -53,6 +53,11 @@ func mixedBatch(ev *routing.Evaluator) []scenario.Event {
 	}
 }
 
+// observe1 delivers one event as a batch of one.
+func observe1(s *Selector, e scenario.Event) error {
+	return s.ObserveBatch([]scenario.Event{e}, 0, 0)
+}
+
 func sameSelectorState(t *testing.T, seq, bat *Selector, at string) {
 	t.Helper()
 	for i := 0; i < seq.Library().Size(); i++ {
@@ -78,7 +83,7 @@ func TestObserveBatchMatchesSequential(t *testing.T) {
 	ev, seq, bat := batchTestSelectors(t, 10, 40, 7)
 	events := mixedBatch(ev)
 	for _, e := range events {
-		if err := seq.Observe(e); err != nil {
+		if err := observe1(seq, e); err != nil {
 			t.Fatalf("sequential: %v", err)
 		}
 	}
@@ -91,33 +96,134 @@ func TestObserveBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestObserveBatchRandomized drives both paths with seeded random
-// streams of raw batches (no coalescing) across several batch sizes.
+// randomStream renders a seeded mixed telemetry stream of n events:
+// link flaps, a third of them restating the observed state; sparse
+// demand deltas, most of them later undone by their inverse; and dense
+// updates that scale the base matrices or restore them with nil.
+func randomStream(ev *routing.Evaluator, n int, rng *rand.Rand) []scenario.Event {
+	g := ev.Graph()
+	nodes, links := g.NumNodes(), g.NumLinks()
+	down := make([]bool, links)
+	cur := [2]*traffic.Matrix{ev.DemandDelay().Clone(), ev.DemandThroughput().Clone()}
+	var undo []scenario.Event // inverses of the deltas emitted so far
+	events := make([]scenario.Event, 0, n)
+	for len(events) < n {
+		var e scenario.Event
+		switch r := rng.Intn(10); {
+		case r < 5:
+			li := rng.Intn(links)
+			up := down[li] // flip
+			if rng.Intn(3) == 0 {
+				up = !down[li] // restate
+			}
+			down[li] = !up
+			e = scenario.Event{Kind: scenario.EventLinkDown, Link: li}
+			if up {
+				e.Kind = scenario.EventLinkUp
+			}
+		case r < 8 && len(undo) > 0 && rng.Intn(2) == 0:
+			k := rng.Intn(len(undo))
+			e = undo[k]
+			undo = append(undo[:k], undo[k+1:]...)
+		case r < 8:
+			class := rng.Intn(2)
+			d := &traffic.Delta{}
+			for _, t := range rng.Perm(nodes)[:1+rng.Intn(3)] {
+				s := (t + 1 + rng.Intn(nodes-1)) % nodes
+				old := cur[class].At(s, t)
+				d.Entries = append(d.Entries, traffic.DeltaEntry{S: s, T: t, Old: old, New: old*(0.5+2*rng.Float64()) + 1})
+			}
+			e = scenario.Event{Kind: scenario.EventDemandDelta}
+			inv := scenario.Event{Kind: scenario.EventDemandDelta}
+			if class == 0 {
+				e.DeltaD, inv.DeltaD = d, d.Inverse()
+			} else {
+				e.DeltaT, inv.DeltaT = d, d.Inverse()
+			}
+			undo = append(undo, inv)
+		default:
+			e = scenario.Event{Kind: scenario.EventDemand}
+			if rng.Intn(2) == 0 {
+				f := 0.8 + 0.6*rng.Float64()
+				e.DemD = ev.DemandDelay().Clone().Scale(f)
+				e.DemT = ev.DemandThroughput().Clone().Scale(f)
+			}
+		}
+		switch e.Kind {
+		case scenario.EventDemandDelta:
+			if e.DeltaD != nil {
+				cur[0].ApplyDelta(e.DeltaD)
+			}
+			if e.DeltaT != nil {
+				cur[1].ApplyDelta(e.DeltaT)
+			}
+		case scenario.EventDemand:
+			cur = [2]*traffic.Matrix{ev.DemandDelay().Clone(), ev.DemandThroughput().Clone()}
+			if e.DemD != nil {
+				cur = [2]*traffic.Matrix{e.DemD.Clone(), e.DemT.Clone()}
+			}
+		}
+		events = append(events, e)
+	}
+	return events
+}
+
+// requireOracle checks every candidate's score against a from-scratch
+// Evaluator run under the selector's own view of the conditions.
+func requireOracle(t *testing.T, ev *routing.Evaluator, sel *Selector, at string) {
+	t.Helper()
+	mask := sel.Mask()
+	demD, demT := sel.Demands()
+	var want routing.Result
+	for i, e := range sel.Library().Entries {
+		ev.EvaluateDemands(e.W, mask, -1, demD, demT, &want)
+		if got := sel.Result(i); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: candidate %d scored %+v, oracle %+v", at, i, got, want)
+		}
+	}
+}
+
+// TestObserveBatchRandomized splits seeded mixed streams (randomStream)
+// into batches at random points, and into singletons — the sequential
+// path. After every batch, each candidate must score exactly what the
+// oracle computes under the selector's Mask and Demands, and the
+// selector must agree bit for bit with a twin that observed the same
+// events one at a time, down links and Events counter included.
 func TestObserveBatchRandomized(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
-		_, seq, bat := batchTestSelectors(t, 12, 48, seed)
 		rng := rand.New(rand.NewSource(seed + 50))
-		links := 48
-		for round := 0; round < 6; round++ {
-			batch := make([]scenario.Event, 1+rng.Intn(20))
-			for i := range batch {
-				kind := scenario.EventLinkDown
-				if rng.Intn(2) == 0 {
-					kind = scenario.EventLinkUp
+		stream := randomStream(ctrlTestEvaluator(t, 12, 48, seed), 150, rng)
+		// splits[0] is all singletons; the others cut at random points.
+		splits := make([][]int, 3)
+		for range stream {
+			splits[0] = append(splits[0], 1)
+		}
+		for k := 1; k < len(splits); k++ {
+			for rest := len(stream); rest > 0; {
+				size := min(rest, 1+rng.Intn(20))
+				splits[k] = append(splits[k], size)
+				rest -= size
+			}
+		}
+		for k, sizes := range splits {
+			ev, seq, bat := batchTestSelectors(t, 12, 48, seed)
+			at := 0
+			for _, size := range sizes {
+				batch := stream[at : at+size]
+				if err := bat.ObserveBatch(batch, 0, 0); err != nil {
+					t.Fatalf("seed %d split %d: batch at %d: %v", seed, k, at, err)
 				}
-				batch[i] = scenario.Event{Kind: kind, Link: rng.Intn(links)}
-			}
-			for _, e := range batch {
-				if err := seq.Observe(e); err != nil {
-					t.Fatalf("sequential: %v", err)
+				for _, e := range batch {
+					if err := observe1(seq, e); err != nil {
+						t.Fatalf("sequential: %v", err)
+					}
 				}
-			}
-			if err := bat.ObserveBatch(batch, 0, 0); err != nil {
-				t.Fatalf("batch: %v", err)
-			}
-			sameSelectorState(t, seq, bat, "randomized")
-			if seq.Events() != bat.Events() {
-				t.Fatalf("events counter diverged: %d vs %d", seq.Events(), bat.Events())
+				requireOracle(t, ev, bat, "randomized")
+				sameSelectorState(t, seq, bat, "randomized")
+				if seq.Events() != bat.Events() {
+					t.Fatalf("seed %d split %d: events counter diverged: %d vs %d", seed, k, seq.Events(), bat.Events())
+				}
+				at += size
 			}
 		}
 	}
@@ -165,7 +271,7 @@ func TestObserveBatchEmptyAndSingle(t *testing.T) {
 		t.Fatalf("empty batch advanced events counter to %d", bat.Events())
 	}
 	one := []scenario.Event{{Kind: scenario.EventLinkDown, Link: 2}}
-	if err := seq.Observe(one[0]); err != nil {
+	if err := observe1(seq, one[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := bat.ObserveBatch(one, 0, 0); err != nil {

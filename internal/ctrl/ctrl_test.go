@@ -149,7 +149,7 @@ func TestAdviseMatchesOracle(t *testing.T) {
 	var want routing.Result
 	for _, ep := range scenario.Episodes(ev.Graph(), set) {
 		for _, e := range ep.Onset {
-			if err := sel.Observe(e); err != nil {
+			if err := observe1(sel, e); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -176,7 +176,7 @@ func TestAdviseMatchesOracle(t *testing.T) {
 			t.Fatalf("%s: Advise cost %+v, oracle %+v", ep.Name, res.Cost, oracleBest)
 		}
 		for _, e := range ep.Recovery {
-			if err := sel.Observe(e); err != nil {
+			if err := observe1(sel, e); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -205,29 +205,29 @@ func TestSelectorObserveErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sel.Observe(scenario.Event{Kind: scenario.EventLinkDown, Link: -1}); err == nil {
+	if err := observe1(sel, scenario.Event{Kind: scenario.EventLinkDown, Link: -1}); err == nil {
 		t.Error("negative link accepted")
 	}
-	if err := sel.Observe(scenario.Event{Kind: scenario.EventLinkDown, Link: 9999}); err == nil {
+	if err := observe1(sel, scenario.Event{Kind: scenario.EventLinkDown, Link: 9999}); err == nil {
 		t.Error("out-of-range link accepted")
 	}
-	if err := sel.Observe(scenario.Event{Kind: scenario.EventDemand, DemD: traffic.NewMatrix(3)}); err == nil {
+	if err := observe1(sel, scenario.Event{Kind: scenario.EventDemand, DemD: traffic.NewMatrix(3)}); err == nil {
 		t.Error("mismatched demand matrix accepted")
 	}
-	if err := sel.Observe(scenario.Event{Kind: scenario.EventDemandDelta,
+	if err := observe1(sel, scenario.Event{Kind: scenario.EventDemandDelta,
 		DeltaD: &traffic.Delta{Entries: []traffic.DeltaEntry{{S: 0, T: 0, New: 1}}}}); err == nil {
 		t.Error("diagonal delta entry accepted")
 	}
-	if err := sel.Observe(scenario.Event{Kind: scenario.EventDemandDelta,
+	if err := observe1(sel, scenario.Event{Kind: scenario.EventDemandDelta,
 		DeltaT: &traffic.Delta{Entries: []traffic.DeltaEntry{{S: 0, T: 999, New: 1}}}}); err == nil {
 		t.Error("out-of-range delta entry accepted")
 	}
 	// Duplicate events are idempotent.
-	if err := sel.Observe(scenario.Event{Kind: scenario.EventLinkDown, Link: 2}); err != nil {
+	if err := observe1(sel, scenario.Event{Kind: scenario.EventLinkDown, Link: 2}); err != nil {
 		t.Fatal(err)
 	}
 	before := sel.Result(0)
-	if err := sel.Observe(scenario.Event{Kind: scenario.EventLinkDown, Link: 2}); err != nil {
+	if err := observe1(sel, scenario.Event{Kind: scenario.EventLinkDown, Link: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if got := sel.Result(0); got.Cost != before.Cost {
@@ -263,7 +263,7 @@ func TestSelectorDemandDedup(t *testing.T) {
 		{Kind: scenario.EventDemandDelta, DeltaD: &traffic.Delta{Entries: []traffic.DeltaEntry{
 			{S: 0, T: 1, New: ev.DemandDelay().At(0, 1)}}}},
 	} {
-		if err := sel.Observe(e); err != nil {
+		if err := observe1(sel, e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -274,13 +274,13 @@ func TestSelectorDemandDedup(t *testing.T) {
 	// A real surge counts, and repeating its dense rendering does not.
 	surgeT := ev.DemandThroughput().Clone()
 	surgeT.Set(0, 2, surgeT.At(0, 2)*3)
-	if err := sel.Observe(scenario.Event{Kind: scenario.EventDemand, DemT: surgeT}); err != nil {
+	if err := observe1(sel, scenario.Event{Kind: scenario.EventDemand, DemT: surgeT}); err != nil {
 		t.Fatal(err)
 	}
 	if sel.Events() != 1 {
 		t.Fatalf("surge not counted: %d events", sel.Events())
 	}
-	if err := sel.Observe(scenario.Event{Kind: scenario.EventDemand, DemT: surgeT.Clone()}); err != nil {
+	if err := observe1(sel, scenario.Event{Kind: scenario.EventDemand, DemT: surgeT.Clone()}); err != nil {
 		t.Fatal(err)
 	}
 	if sel.Events() != 1 {
@@ -288,14 +288,14 @@ func TestSelectorDemandDedup(t *testing.T) {
 	}
 	// A delta restating the surged value is also a no-op; one moving it
 	// back to base is not, and the scores return to the base state.
-	if err := sel.Observe(scenario.Event{Kind: scenario.EventDemandDelta,
+	if err := observe1(sel, scenario.Event{Kind: scenario.EventDemandDelta,
 		DeltaT: &traffic.Delta{Entries: []traffic.DeltaEntry{{S: 0, T: 2, New: surgeT.At(0, 2)}}}}); err != nil {
 		t.Fatal(err)
 	}
 	if sel.Events() != 1 {
 		t.Fatal("no-op delta fanned out")
 	}
-	if err := sel.Observe(scenario.Event{Kind: scenario.EventDemandDelta,
+	if err := observe1(sel, scenario.Event{Kind: scenario.EventDemandDelta,
 		DeltaT: &traffic.Delta{Entries: []traffic.DeltaEntry{{S: 0, T: 2, New: ev.DemandThroughput().At(0, 2)}}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -343,14 +343,14 @@ func TestSelectorDeltaMatchesDense(t *testing.T) {
 
 	// Interleave with a link event so the delta lands on non-base state.
 	for _, sel := range []*Selector{a, b} {
-		if err := sel.Observe(scenario.Event{Kind: scenario.EventLinkDown, Link: 3}); err != nil {
+		if err := observe1(sel, scenario.Event{Kind: scenario.EventLinkDown, Link: 3}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := a.Observe(scenario.Event{Kind: scenario.EventDemandDelta, DeltaD: dd}); err != nil {
+	if err := observe1(a, scenario.Event{Kind: scenario.EventDemandDelta, DeltaD: dd}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Observe(scenario.Event{Kind: scenario.EventDemand, DemD: surgedD}); err != nil {
+	if err := observe1(b, scenario.Event{Kind: scenario.EventDemand, DemD: surgedD}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ws {

@@ -21,7 +21,9 @@ import (
 // demand event only the destination columns whose demands actually
 // moved (sparse demand-delta events never materialize full matrices at
 // all) — and Advise is a constant-time scan of cached, bit-exact
-// results.
+// results. Telemetry enters through ObserveBatch alone, which routes
+// each event by class: link events to SetLinkStates, dense demand
+// events to SetDemands, demand deltas to ApplyDemandDelta.
 //
 // A Selector is not safe for concurrent use; callers serialize access
 // (cmd/dtrd wraps one in a mutex).
@@ -40,8 +42,8 @@ type Selector struct {
 	ownsDemD, ownsDemT bool
 	events             int
 	// Span causality: the trace and root-span IDs of the most recent
-	// traced Observe fan-out, so Advise and the migration planner can
-	// link their decisions to the telemetry event that prompted them.
+	// traced ObserveBatch fan-out, so Advise and the migration planner
+	// can link their decisions to the telemetry event that prompted them.
 	// Zero while span recording is disabled.
 	lastTrace, lastRoot uint64
 	// lastViol is the best candidate's violation count at the previous
@@ -77,7 +79,7 @@ func NewSelector(ev *routing.Evaluator, lib *Library) (*Selector, error) {
 // SetParallelism sets the per-session recompute worker budget
 // (routing.Session.SetParallelism) of every candidate session: k <= 0
 // means GOMAXPROCS, 1 (the default) keeps each session serial. Results
-// are bit-identical at every setting. Observe already fans the k
+// are bit-identical at every setting. ObserveBatch already fans the k
 // candidate sessions out one-per-goroutine, so per-session workers pay
 // off when the library is small relative to the machine — the two
 // levels multiply.
@@ -123,18 +125,6 @@ func (s *Selector) Mask() *graph.Mask {
 	return mask
 }
 
-// Observe folds one telemetry event into every candidate session. Link
-// events re-score incrementally (SetLinkState). Dense demand events
-// diff against the current matrices inside each session (SetDemands),
-// so only changed destination columns recompute; sparse demand-delta
-// events skip the dense matrices entirely (ApplyDemandDelta). No-op
-// events — duplicate link states, demand matrices equal to the ones in
-// effect, deltas restating current values — are deduplicated here and
-// never fan out to the k sessions.
-func (s *Selector) Observe(e scenario.Event) error {
-	return s.observe(e, 0, 0)
-}
-
 // Validate checks an event's shape against the network — link index in
 // range, demand matrices sized to the node count, delta entries valid —
 // without touching any state. ObserveBatch validates a whole batch
@@ -167,78 +157,70 @@ func (s *Selector) Validate(e scenario.Event) error {
 }
 
 // ObserveBatch folds an ordered batch of telemetry events into every
-// candidate session, validating the whole batch before any mutation
-// (all-or-nothing on malformed input). Runs of consecutive link events
-// collapse into one SetLinkStates fan-out per candidate (one
-// classification + one multi-link repair pass per affected
-// destination); demand events flush any pending links first and then
-// take the same incremental paths as Observe, so the final selector
-// and session state is bit-identical to observing the events one at a
-// time, in order. The trace/parent span IDs (zero when untraced) root
-// the batch's spans under the caller's trace — the ingest delivery
-// span, for batches arriving through internal/ingest.
+// candidate session. It is the selector's only telemetry entry point; a
+// single event is a batch of one. The whole batch is validated before
+// any mutation (all-or-nothing on malformed input). Each run of
+// consecutive link events becomes one SetLinkStates fan-out per
+// candidate (one classification and one multi-link repair pass per
+// affected destination). Dense demand events diff against the current
+// matrices inside each session (SetDemands), so only changed
+// destination columns recompute; sparse demand-delta events skip the
+// dense matrices entirely (ApplyDemandDelta). Events that restate the
+// conditions in effect — link states already observed, demand matrices
+// equal to the ones in effect, deltas restating current values — are
+// deduplicated here and never fan out. The resulting selector and
+// session state is bit-identical however a stream is split into
+// batches. The trace/parent span IDs (zero when untraced) root the
+// batch's spans under the caller's trace — the ingest delivery span,
+// for batches arriving through internal/ingest.
 func (s *Selector) ObserveBatch(events []scenario.Event, trace, parent uint64) error {
 	for i := range events {
 		if err := s.Validate(events[i]); err != nil {
 			return fmt.Errorf("ctrl: batch event %d: %w", i, err)
 		}
 	}
-	switch len(events) {
-	case 0:
+	if len(events) == 0 {
 		return nil
-	case 1:
-		return s.observe(events[0], trace, parent)
 	}
 	m := met.Get()
 	var batchSpan *obsv.Span
-	if m != nil {
+	if m != nil && len(events) > 1 {
 		batchSpan = m.reg.Spans().StartAt("observe.batch", trace, parent)
 		batchSpan.SetAttr("events", int64(len(events)))
 		trace, parent = batchSpan.TraceID(), batchSpan.ID()
 	}
-	pend := events[:0:0]
-	for i := range events {
-		e := events[i]
-		if e.Kind == scenario.EventLinkDown || e.Kind == scenario.EventLinkUp {
-			pend = append(pend, e)
+	for i := 0; i < len(events); {
+		if !isLinkEvent(events[i]) {
+			s.observeDemand(m, events[i], trace, parent)
+			i++
 			continue
 		}
-		s.flushLinks(m, pend, trace, parent)
-		pend = pend[:0]
-		if err := s.observe(e, trace, parent); err != nil {
-			batchSpan.End()
-			return err
+		j := i + 1
+		for j < len(events) && isLinkEvent(events[j]) {
+			j++
 		}
+		s.observeLinks(m, events[i:j], trace, parent)
+		i = j
 	}
-	s.flushLinks(m, pend, trace, parent)
 	batchSpan.End()
 	return nil
 }
 
-// flushLinks applies a run of link events as one SetLinkStates fan-out
-// per candidate. Events restating the already-observed link state
-// deduplicate exactly as the sequential path would, and the Events
-// counter advances by the number of effective transitions; a run of
-// one routes through the single-event path (class "link").
-func (s *Selector) flushLinks(m *metrics, pend []scenario.Event, trace, parent uint64) {
-	switch len(pend) {
-	case 0:
-		return
-	case 1:
-		s.observe(pend[0], trace, parent) // pre-validated: cannot fail
-		return
-	}
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
-	changes := make([]routing.LinkStateChange, 0, len(pend))
-	eff := 0
-	for _, e := range pend {
+func isLinkEvent(e scenario.Event) bool {
+	return e.Kind == scenario.EventLinkDown || e.Kind == scenario.EventLinkUp
+}
+
+// observeLinks applies a run of validated link events as one
+// SetLinkStates fan-out per candidate. Events restating the observed
+// link state are deduplicated; the Events counter advances by the
+// number of effective transitions.
+func (s *Selector) observeLinks(m *metrics, run []scenario.Event, trace, parent uint64) {
+	changes := make([]routing.LinkStateChange, 0, len(run))
+	for _, e := range run {
 		up := e.Kind == scenario.EventLinkUp
 		if s.down[e.Link] != up {
 			if m != nil {
-				m.dedupLink.Inc()
+				m.dedup[classLink].Inc()
 			}
 			continue // already in the observed state
 		}
@@ -248,140 +230,84 @@ func (s *Selector) flushLinks(m *metrics, pend []scenario.Event, trace, parent u
 		} else {
 			s.ndown++
 		}
-		eff++
 		changes = append(changes, routing.LinkStateChange{Link: e.Link, Up: up})
 	}
-	if eff == 0 {
+	if len(changes) == 0 {
 		return
 	}
-	s.events += eff
-	root := s.beginObserve(m, "observe.link_batch", trace, parent)
+	root, t0 := s.beginObserve(m, classLink, trace, parent)
 	root.SetAttr("links", int64(len(changes)))
-	s.each(func(ses *routing.Session) { ses.SetLinkStates(changes) })
-	root.End()
-	if m != nil {
-		dur := time.Since(t0)
-		m.observeLinkBatch.Observe(dur.Seconds())
-		msg := fmt.Sprintf("link batch (%d changes, down links: %d) trace=%d", len(changes), s.ndown, s.lastTrace)
-		m.trace.Record("observe", msg)
-		s.maybeFlight(m, "observe", msg, dur)
-	}
-}
-
-// observe is Observe with an explicit span context: trace/parent root
-// this event's spans under a caller-owned trace (the ingest delivery
-// span, the enclosing observe.batch span); both zero starts a fresh
-// trace per event, which is the Observe behavior.
-func (s *Selector) observe(e scenario.Event, trace, parent uint64) error {
-	m := met.Get()
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
-	n := s.ev.Graph().NumNodes()
-	switch e.Kind {
-	case scenario.EventLinkDown, scenario.EventLinkUp:
-		if e.Link < 0 || e.Link >= len(s.down) {
-			return fmt.Errorf("ctrl: link %d out of range [0,%d)", e.Link, len(s.down))
-		}
-		up := e.Kind == scenario.EventLinkUp
-		if s.down[e.Link] != up {
-			if m != nil {
-				m.dedupLink.Inc()
-			}
-			return nil // already in the observed state
-		}
-		s.down[e.Link] = !up
-		if up {
-			s.ndown--
-		} else {
-			s.ndown++
-		}
-		root := s.beginObserve(m, "observe.link", trace, parent)
-		root.SetAttr("link", int64(e.Link))
-		if up {
+	if len(changes) == 1 {
+		root.SetAttr("link", int64(changes[0].Link))
+		if changes[0].Up {
 			root.SetAttr("up", 1)
 		}
-		s.each(func(ses *routing.Session) { ses.SetLinkState(e.Link, up) })
-		root.End()
+	}
+	s.each(func(ses *routing.Session) { ses.SetLinkStates(changes) })
+	s.endObserve(m, classLink, root, t0, len(changes), func() string {
+		if len(changes) == 1 {
+			return fmt.Sprintf("link %d up=%v (down links: %d)", changes[0].Link, changes[0].Up, s.ndown)
+		}
+		return fmt.Sprintf("%d link changes (down links: %d)", len(changes), s.ndown)
+	})
+}
+
+// observeDemand folds one validated demand or demand-delta event into
+// the selector's demand state and, unless it restates the state in
+// effect, into every candidate session.
+func (s *Selector) observeDemand(m *metrics, e scenario.Event, trace, parent uint64) {
+	class, fn := classDemand, func(ses *routing.Session) { ses.SetDemands(e.DemD, e.DemT) }
+	if e.Kind == scenario.EventDemandDelta {
+		class, fn = classDelta, func(ses *routing.Session) { ses.ApplyDemandDelta(e.DeltaD, e.DeltaT) }
+	}
+	if !s.foldDemand(e) {
 		if m != nil {
-			dur := time.Since(t0)
-			m.observeLink.Observe(dur.Seconds())
-			msg := fmt.Sprintf("link %d up=%v (down links: %d) trace=%d", e.Link, up, s.ndown, s.lastTrace)
-			m.trace.Record("observe", msg)
-			s.maybeFlight(m, "observe", msg, dur)
+			m.dedup[class].Inc()
 		}
-	case scenario.EventDemand:
-		if e.DemD != nil && e.DemD.Size() != n {
-			return fmt.Errorf("ctrl: demand matrix size %d does not match %d nodes", e.DemD.Size(), n)
+		return
+	}
+	root, t0 := s.beginObserve(m, class, trace, parent)
+	if class == classDelta {
+		root.SetAttr("entries", int64(e.DeltaD.Len()+e.DeltaT.Len()))
+	}
+	s.each(fn)
+	s.endObserve(m, class, root, t0, 1, func() string {
+		if class == classDemand {
+			return "dense demand update"
 		}
-		if e.DemT != nil && e.DemT.Size() != n {
-			return fmt.Errorf("ctrl: demand matrix size %d does not match %d nodes", e.DemT.Size(), n)
-		}
+		return fmt.Sprintf("demand delta (%d+%d entries)", e.DeltaD.Len(), e.DeltaT.Len())
+	})
+}
+
+// foldDemand applies a demand or demand-delta event to the selector's
+// demand state and reports whether that state changed.
+func (s *Selector) foldDemand(e scenario.Event) bool {
+	if e.Kind == scenario.EventDemand {
 		if s.effectiveD().Equal(s.effective(e.DemD, s.ev.DemandDelay())) &&
 			s.effectiveT().Equal(s.effective(e.DemT, s.ev.DemandThroughput())) {
-			if m != nil {
-				m.dedupDem.Inc()
-			}
-			return nil // matrices equal the state in effect: skip the fan-out
+			return false
 		}
 		s.demD, s.demT = e.DemD, e.DemT
 		s.ownsDemD, s.ownsDemT = false, false
-		root := s.beginObserve(m, "observe.demand", trace, parent)
-		s.each(func(ses *routing.Session) { ses.SetDemands(e.DemD, e.DemT) })
-		root.End()
-		if m != nil {
-			dur := time.Since(t0)
-			m.observeDem.Observe(dur.Seconds())
-			msg := fmt.Sprintf("dense demand update trace=%d", s.lastTrace)
-			m.trace.Record("observe", msg)
-			s.maybeFlight(m, "observe", msg, dur)
-		}
-	case scenario.EventDemandDelta:
-		if err := e.DeltaD.Validate(n); err != nil {
-			return fmt.Errorf("ctrl: %w", err)
-		}
-		if err := e.DeltaT.Validate(n); err != nil {
-			return fmt.Errorf("ctrl: %w", err)
-		}
-		chgD := deltaChanges(s.effectiveD(), e.DeltaD)
-		chgT := deltaChanges(s.effectiveT(), e.DeltaT)
-		if !chgD && !chgT {
-			if m != nil {
-				m.dedupDelta.Inc()
-			}
-			return nil // every entry restates the current value
-		}
-		if chgD {
-			if !s.ownsDemD {
-				s.demD = s.effectiveD().Clone()
-				s.ownsDemD = true
-			}
-			s.demD.ApplyDelta(e.DeltaD)
-		}
-		if chgT {
-			if !s.ownsDemT {
-				s.demT = s.effectiveT().Clone()
-				s.ownsDemT = true
-			}
-			s.demT.ApplyDelta(e.DeltaT)
-		}
-		root := s.beginObserve(m, "observe.demand_delta", trace, parent)
-		root.SetAttr("entries", int64(e.DeltaD.Len()+e.DeltaT.Len()))
-		s.each(func(ses *routing.Session) { ses.ApplyDemandDelta(e.DeltaD, e.DeltaT) })
-		root.End()
-		if m != nil {
-			dur := time.Since(t0)
-			m.observeDelta.Observe(dur.Seconds())
-			msg := fmt.Sprintf("demand delta (%d+%d entries) trace=%d", e.DeltaD.Len(), e.DeltaT.Len(), s.lastTrace)
-			m.trace.Record("observe", msg)
-			s.maybeFlight(m, "observe", msg, dur)
-		}
-	default:
-		return fmt.Errorf("ctrl: unknown event kind %d", e.Kind)
+		return true
 	}
-	s.events++
-	return nil
+	chgD := deltaChanges(s.effectiveD(), e.DeltaD)
+	chgT := deltaChanges(s.effectiveT(), e.DeltaT)
+	if chgD {
+		if !s.ownsDemD {
+			s.demD = s.effectiveD().Clone()
+			s.ownsDemD = true
+		}
+		s.demD.ApplyDelta(e.DeltaD)
+	}
+	if chgT {
+		if !s.ownsDemT {
+			s.demT = s.effectiveT().Clone()
+			s.ownsDemT = true
+		}
+		s.demT.ApplyDelta(e.DeltaT)
+	}
+	return chgD || chgT
 }
 
 // Restore rebases a freshly built selector onto checkpointed
@@ -440,43 +366,58 @@ func (s *Selector) Restore(down []int, demD, demT *traffic.Matrix, events int) e
 }
 
 // TraceContext returns the trace and root-span IDs of the most recent
-// traced Observe fan-out (both zero while span recording is disabled),
-// so callers can attach downstream decision spans — the migration plan,
-// the apply — to the same trace.
+// traced ObserveBatch fan-out (both zero while span recording is
+// disabled), so callers can attach downstream decision spans — the
+// migration plan, the apply — to the same trace.
 func (s *Selector) TraceContext() (trace, root uint64) { return s.lastTrace, s.lastRoot }
 
-// beginObserve opens the root span of one effective (non-deduplicated)
-// telemetry event and points every candidate session's span context at
-// it, so the whole fan-out lands in one trace. With a nonzero
-// trace/parent the span joins the caller's trace instead of rooting a
-// fresh one. Returns nil when spans are disabled.
-func (s *Selector) beginObserve(m *metrics, name string, trace, parent uint64) *obsv.Span {
+// beginObserve starts the fan-out of one effective (non-deduplicated)
+// update of the given event class: it opens the class's observe span
+// and points every candidate session's span context at it, so the
+// whole fan-out lands in one trace, and starts the latency clock. With
+// a nonzero trace/parent the span joins the caller's trace instead of
+// rooting a fresh one. Both results are zero while telemetry is off;
+// the span is nil when span recording is disabled.
+func (s *Selector) beginObserve(m *metrics, class int, trace, parent uint64) (*obsv.Span, time.Time) {
 	if m == nil {
-		return nil
+		return nil, time.Time{}
 	}
-	root := m.reg.Spans().StartAt(name, trace, parent)
+	t0 := time.Now()
+	root := m.reg.Spans().StartAt(observeSpanNames[class], trace, parent)
 	if root == nil {
-		return nil
+		return nil, t0
 	}
 	s.lastTrace, s.lastRoot = root.TraceID(), root.ID()
 	for _, ses := range s.sessions {
 		ses.SetSpanContext(s.lastTrace, s.lastRoot)
 	}
-	return root
+	return root, t0
 }
 
-// maybeFlight captures a flight record of the event's span tree when
-// its fan-out latency trips the recorder's threshold.
-func (s *Selector) maybeFlight(m *metrics, kind, detail string, dur time.Duration) {
+// endObserve is the shared epilogue of every fan-out beginObserve
+// started: it closes the span, counts the n events the fan-out applied,
+// and records the class's latency, a decision-trace line built from
+// detail, and a flight capture when the latency trips the recorder's
+// threshold.
+func (s *Selector) endObserve(m *metrics, class int, root *obsv.Span, t0 time.Time, n int, detail func() string) {
+	root.End()
+	s.events += n
+	if m == nil {
+		return
+	}
+	dur := time.Since(t0)
+	m.observe[class].Observe(dur.Seconds())
+	msg := fmt.Sprintf("%s trace=%d", detail(), s.lastTrace)
+	m.trace.Record("observe", msg)
 	fr := m.reg.Flight()
 	if !fr.ExceedsLatency(dur) {
 		return
 	}
 	fr.Capture(obsv.FlightRecord{
 		Trace:    s.lastTrace,
-		Kind:     kind,
+		Kind:     "observe",
 		Reason:   "latency",
-		Detail:   detail,
+		Detail:   msg,
 		Duration: dur,
 		Spans:    m.reg.Spans().TraceSpans(s.lastTrace),
 	})

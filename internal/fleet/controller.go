@@ -60,20 +60,14 @@ func (c *Controller) SetParallelism(k int) {
 // batches without serializing against selector work.
 func (c *Controller) Validate(e scenario.Event) error { return c.sel.Validate(e) }
 
-// Observe folds one telemetry event into the controller.
-func (c *Controller) Observe(e scenario.Event) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sel.Observe(e)
-}
-
 // ObserveBatch folds an ordered batch of telemetry events into the
-// controller under one lock acquisition, collapsing runs of link events
-// into multi-link session updates; the result is bit-identical to
-// observing the events one at a time, in order. The trace/parent span
-// IDs (zero when untraced) root the batch's spans under the caller's
-// trace. Its signature matches ingest.Sink, so an intake queue can
-// deliver straight into the controller.
+// controller under one lock acquisition; it is the controller's only
+// telemetry entry point (a single event is a batch of one). Runs of
+// link events collapse into multi-link session updates; the result is
+// bit-identical to observing the events one at a time, in order. The
+// trace/parent span IDs (zero when untraced) root the batch's spans
+// under the caller's trace. Its signature matches ingest.Sink, so an
+// intake queue can deliver straight into the controller.
 func (c *Controller) ObserveBatch(events []scenario.Event, trace, parent uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

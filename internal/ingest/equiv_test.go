@@ -172,7 +172,7 @@ func TestCoalescedBatchEquivalence(t *testing.T) {
 							chunk[i] = gen.next()
 						}
 						for _, e := range chunk {
-							if err := seq.Observe(e); err != nil {
+							if err := seq.ObserveBatch([]scenario.Event{e}, 0, 0); err != nil {
 								t.Fatalf("sequential observe: %v", err)
 							}
 						}

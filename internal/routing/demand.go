@@ -13,22 +13,14 @@ import (
 // contributions and Λ subtotals, and the session's recompute tail
 // (recompute, with every touched destination classified DAG-only)
 // already maintains the link aggregates and the delay DP ripple in the
-// bit-exact re-summation order. A dense update that moves most columns
-// falls back to the full Init rebase — same bits, and the delta
-// bookkeeping would only add overhead. See DESIGN.md ("The demand-delta
-// engine").
+// bit-exact re-summation order. An update that moves most columns falls
+// back to the full Init rebase — same bits, and the delta bookkeeping
+// would only add overhead. See DESIGN.md ("The demand-delta engine").
 
 // demandRebaseFracDefault is the default fallback threshold: a demand
 // update changing more than this fraction of the 2n destination columns
 // (n per class) rebases from scratch instead of refreshing per column.
 const demandRebaseFracDefault = 0.5
-
-// demandDenseFracDefault is the default dense-path threshold: a demand
-// update changing more than this fraction of the 2n columns (but not
-// enough to rebase) refreshes the changed contributions in place and
-// re-sums every link load once, instead of paying per-column undo
-// bookkeeping and changed-link discovery.
-const demandDenseFracDefault = 0.1
 
 // SetDemandRebaseThreshold tunes the demand-update fallback: updates
 // changing more than frac of the 2n destination columns re-base with a
@@ -40,18 +32,6 @@ const demandDenseFracDefault = 0.1
 // constant factors.
 func (s *Session) SetDemandRebaseThreshold(frac float64) {
 	s.rebaseFrac = min(max(frac, 0), 1)
-}
-
-// SetDemandBatchThreshold tunes where demand updates switch from the
-// sparse per-column refresh (undo stash, changed-link discovery) to the
-// dense batch path (contributions recomputed in place, every link load
-// re-summed once): updates changing more than frac of the 2n destination
-// columns go dense. frac 0 sends every update down the dense path; frac
-// 1 disables it (the pre-batch behavior, kept as the test oracle).
-// Values are clamped to [0, 1]; the default is 0.1. Both paths produce
-// bit-identical results — the threshold trades only constant factors.
-func (s *Session) SetDemandBatchThreshold(frac float64) {
-	s.denseFrac = min(max(frac, 0), 1)
 }
 
 // SetDemands replaces the session's demand matrices — a dense
@@ -97,7 +77,7 @@ func (s *Session) SetDemands(demD, demT *traffic.Matrix) Result {
 // incrementally re-evaluates: only the destination columns the deltas
 // actually change — entries restating the current value are skipped —
 // recompute their load contributions and Λ subtotals; shortest-path
-// state is provably untouched. Like SetLinkState, the change commits
+// state is provably untouched. Like SetLinkStates, the change commits
 // immediately: any pending Apply undo is cleared and the update cannot
 // itself be reverted (apply the delta's Inverse to undo it). Deltas
 // must validate against the graph's node count (panic otherwise,
@@ -161,34 +141,6 @@ func (s *Session) refreshDemands(chgD, chgT []int) Result {
 	u.droppedT = s.droppedT
 	s.affD, s.affT = s.affD[:0], s.affT[:0]
 	s.dagD, s.dagT = s.dagD[:0], s.dagT[:0]
-	nAlive := 0
-	for _, t := range chgD {
-		if s.alive(t) {
-			nAlive++
-		}
-	}
-	for _, t := range chgT {
-		if s.alive(t) {
-			nAlive++
-		}
-	}
-	if nAlive == 0 {
-		return s.res // only dead destinations' columns moved
-	}
-	if float64(nAlive) > s.denseFrac*float64(2*n) {
-		// Dense batch path: recompute the changed contributions in place
-		// (distances and DAGs are untouched by demand moves) and re-sum
-		// every link load once in Init's exact addition order — same
-		// bits, none of the per-column undo and diff bookkeeping.
-		if m := met.Get(); m != nil {
-			m.demandDense.Inc()
-		}
-		s.denseD, s.denseT = chgD, chgT
-		s.denseCols = true
-		s.recompute(u)
-		s.denseCols = false
-		return s.res
-	}
 	for _, t := range chgD {
 		if s.alive(t) {
 			s.dagD = append(s.dagD, t)
@@ -198,6 +150,9 @@ func (s *Session) refreshDemands(chgD, chgT []int) Result {
 		if s.alive(t) {
 			s.dagT = append(s.dagT, t)
 		}
+	}
+	if len(s.dagD)+len(s.dagT) == 0 {
+		return s.res // only dead destinations' columns moved
 	}
 	s.recompute(u)
 	return s.res

@@ -62,11 +62,10 @@ func hotspotColumnDelta(cur *traffic.Matrix, dest int, factor float64) *traffic.
 // updates, link toggles, weight moves with Revert, and Init rebases,
 // checking the session bit-for-bit against a from-scratch evaluation of
 // mirrored reference state after every step. frac is the session's
-// demand-rebase threshold (0 = always full rebase, 1 = never) and
-// denseFrac its dense-batch threshold (0 = every update dense, 1 =
-// always sparse), so the same drive proves all three paths and both
-// threshold boundaries equivalent.
-func driveDemandSession(t *testing.T, ev *Evaluator, skipNode int, steps int, seed int64, frac, denseFrac float64) {
+// demand-rebase threshold (0 = always full rebase, 1 = never), so the
+// same drive proves both demand strategies and the threshold boundary
+// equivalent.
+func driveDemandSession(t *testing.T, ev *Evaluator, skipNode int, steps int, seed int64, frac float64) {
 	t.Helper()
 	g := ev.Graph()
 	n, m := g.NumNodes(), g.NumLinks()
@@ -81,7 +80,6 @@ func driveDemandSession(t *testing.T, ev *Evaluator, skipNode int, steps int, se
 	}
 	s := ev.NewScenarioSession(mask, skipNode, nil, nil)
 	s.SetDemandRebaseThreshold(frac)
-	s.SetDemandBatchThreshold(denseFrac)
 
 	// Reference demand state: private copies the session never sees.
 	refD := ev.DemandDelay().Clone()
@@ -148,7 +146,7 @@ func driveDemandSession(t *testing.T, ev *Evaluator, skipNode int, steps int, se
 			} else {
 				ref.ReviveLink(li)
 			}
-			s.SetLinkState(li, !down[li])
+			setLink(s, li, !down[li])
 			check("toggle")
 		case r < 0.95:
 			l := rng.Intn(m)
@@ -173,18 +171,14 @@ func driveDemandSession(t *testing.T, ev *Evaluator, skipNode int, steps int, se
 func TestApplyDemandDeltaMatchesEvaluatorRand8(t *testing.T) {
 	ev := sessionTestEvaluator(t, topogen.RandKind, 8, 40, 31)
 	for _, frac := range []float64{0, 0.5, 1} {
-		for _, denseFrac := range []float64{0, 0.1, 1} {
-			driveDemandSession(t, ev, -1, 150, 32, frac, denseFrac)
-		}
+		driveDemandSession(t, ev, -1, 150, 32, frac)
 	}
 }
 
 func TestApplyDemandDeltaMatchesEvaluatorISP(t *testing.T) {
 	ev := sessionTestEvaluator(t, topogen.ISPKind, 0, 0, 33)
 	for _, frac := range []float64{0, 0.5, 1} {
-		for _, denseFrac := range []float64{0, 1} {
-			driveDemandSession(t, ev, -1, 100, 34, frac, denseFrac)
-		}
+		driveDemandSession(t, ev, -1, 100, 34, frac)
 	}
 }
 
@@ -193,8 +187,8 @@ func TestApplyDemandDeltaMatchesEvaluator100(t *testing.T) {
 		t.Skip("100-node equivalence drive is slow")
 	}
 	ev := sessionTestEvaluator(t, topogen.RandKind, 100, 500, 35)
-	driveDemandSession(t, ev, -1, 40, 36, 0.5, 0.1)
-	driveDemandSession(t, ev, -1, 25, 37, 1, 0)
+	driveDemandSession(t, ev, -1, 40, 36, 0.5)
+	driveDemandSession(t, ev, -1, 25, 37, 1)
 }
 
 // TestApplyDemandDeltaNodeFailure drives deltas against a node-failure
@@ -202,48 +196,7 @@ func TestApplyDemandDeltaMatchesEvaluator100(t *testing.T) {
 // matrix but are unobservable, and must leave the session consistent.
 func TestApplyDemandDeltaNodeFailure(t *testing.T) {
 	ev := sessionTestEvaluator(t, topogen.RandKind, 12, 60, 38)
-	driveDemandSession(t, ev, 3, 150, 39, 0.5, 0.1)
-}
-
-// TestDemandDenseMatchesSparse pins the dense batch path directly
-// against the sparse per-column path: twin sessions with thresholds 0
-// (every update dense) and 1 (never dense) fed identical delta and
-// SetDemands streams must agree bit-for-bit after every update.
-func TestDemandDenseMatchesSparse(t *testing.T) {
-	ev := sessionTestEvaluator(t, topogen.RandKind, 12, 60, 45)
-	m := ev.Graph().NumLinks()
-	rng := rand.New(rand.NewSource(46))
-	w := RandomWeightSetting(m, 20, rng)
-
-	dense := ev.NewSession(nil, -1)
-	dense.SetDemandBatchThreshold(0)
-	sparse := ev.NewSession(nil, -1)
-	sparse.SetDemandBatchThreshold(1)
-	requireSameResult(t, "init", dense.Init(w), sparse.Init(w))
-
-	refD := ev.DemandDelay().Clone()
-	refT := ev.DemandThroughput().Clone()
-	for i := 0; i < 120; i++ {
-		switch rng.Intn(3) {
-		case 0:
-			dd := randomDelta(refD, 8, rng)
-			refD.ApplyDelta(dd)
-			requireSameResult(t, "delta", dense.ApplyDemandDelta(dd, nil), sparse.ApplyDemandDelta(dd, nil))
-		case 1:
-			dt := hotspotColumnDelta(refT, rng.Intn(ev.Graph().NumNodes()), 1.5+rng.Float64())
-			refT.ApplyDelta(dt)
-			requireSameResult(t, "hotspot", dense.ApplyDemandDelta(nil, dt), sparse.ApplyDemandDelta(nil, dt))
-		default:
-			l := rng.Intn(m)
-			wd := int32(1 + rng.Intn(20))
-			wt := int32(1 + rng.Intn(20))
-			w.Set(l, wd, wt)
-			requireSameResult(t, "apply", dense.Apply(l, wd, wt), sparse.Apply(l, wd, wt))
-		}
-	}
-	var want Result
-	ev.EvaluateDemands(w, nil, -1, refD, refT, &want)
-	requireSameResult(t, "final vs evaluator", dense.Result(), want)
+	driveDemandSession(t, ev, 3, 150, 39, 0.5)
 }
 
 // TestSetDemandsDiffIsExact pins the dense-update diffing: a no-op

@@ -1,13 +1,15 @@
 package routing
 
-// Batched link events: a set of simultaneous link flips (an SRLG trip, a
-// maintenance window, a correlated restoration) classified once per
+// Link events: a set of simultaneous link flips (one flap, an SRLG trip,
+// a maintenance window, a correlated restoration) classified once per
 // destination and repaired with one multi-link Ramalingam–Reps pass
 // (spf.RepairBatch) per affected destination, instead of one full
-// classify/repair/re-sum round per link.
+// classify/repair/re-sum round per link. A single flip is a batch of
+// one.
 //
-// The per-destination classification generalizes the single-flip rules
-// of SetLinkState, evaluated against the pre-batch snapshots:
+// The per-destination classification takes the weight-move tests to
+// their infinite-weight limits, evaluated against the pre-batch
+// snapshots:
 //
 //   - A restored link (u,v) matters only where w + dist(v) ties (joins
 //     the DAG; distances provably unchanged) or strictly beats (fresh
@@ -26,34 +28,39 @@ package routing
 //
 // Everything downstream — load re-summation, linkPass, the Λ ripple —
 // is the ordinary recompute tail, so results stay bit-identical to
-// applying the flips one SetLinkState at a time (in any order).
+// applying the flips one batch of one at a time (in any order). Unlike
+// a weight move, the per-link aggregate pass re-runs even with no
+// affected destinations: link aliveness itself feeds the utilization
+// summary.
 
 import (
 	"repro/internal/graph"
 	"repro/internal/spf"
 )
 
-// LinkStateChange is one link flip of a batched topology event.
+// LinkStateChange is one link flip of a topology event.
 type LinkStateChange struct {
 	Link int
 	Up   bool
 }
 
-// SetLinkStates applies a set of simultaneous link flips — the batch
-// form of SetLinkState — incrementally re-evaluates, and returns the new
-// Result. Repeated links resolve last-wins; flips already in the desired
-// state are ignored (a batch with no effective flip is a pure no-op,
-// like SetLinkState restating the current state). Like SetLinkState an
+// SetLinkStates marks the listed directed links down (Up false) or
+// restores them (Up true) as one simultaneous change, incrementally
+// re-evaluates the session under the new failure state, and returns the
+// new Result — the topology half of an online telemetry stream (the
+// other half, demand updates, is SetDemands and ApplyDemandDelta).
+// Repeated links resolve last-wins; flips already in the desired state
+// are ignored, and a batch with no effective flip is a pure no-op. An
 // effective change commits immediately: any pending Apply undo is
 // cleared and the batch cannot itself be reverted. Results are
-// bit-identical to applying the effective flips through SetLinkState one
-// at a time.
+// bit-identical to a from-scratch evaluation under the updated mask,
+// and so to applying the effective flips one at a time.
 func (s *Session) SetLinkStates(changes []LinkStateChange) Result {
 	if !s.inited {
 		panic("routing: Session.SetLinkStates before Init")
 	}
 	if m := met.Get(); m != nil {
-		m.updBatch.Inc()
+		m.updLink.Inc()
 	}
 	g := s.e.g
 	if s.mask == nil {
@@ -110,16 +117,18 @@ func (s *Session) SetLinkStates(changes []LinkStateChange) Result {
 		eff = append(eff, c)
 	}
 	s.lsChanges = eff
-	switch len(s.lsChanges) {
-	case 0:
+	if len(s.lsChanges) == 0 {
 		return s.res
-	case 1:
-		// A single effective flip takes the cheaper single-link repair.
-		return s.applyLinkFlip(s.lsChanges[0].Link, s.lsChanges[0].Up)
 	}
 
-	sp := s.beginUpdateSpan("session.link_batch")
+	sp := s.beginUpdateSpan("session.link")
 	sp.SetAttr("links", int64(len(s.lsChanges)))
+	if len(s.lsChanges) == 1 {
+		sp.SetAttr("link", int64(s.lsChanges[0].Link))
+		if s.lsChanges[0].Up {
+			sp.SetAttr("up", 1)
+		}
+	}
 
 	// Mark the batch's failing links so the classifiers can test whether
 	// a tight out-link survives the batch.

@@ -69,7 +69,7 @@ func TestSetLinkStatesMatchesEvaluator(t *testing.T) {
 
 // TestSetLinkStatesMatchesSequential pins batched semantics directly:
 // one SetLinkStates call must land on exactly the same bits as applying
-// the same entries one at a time through SetLinkState (last-wins order).
+// the same entries one at a time as one-change batches (last-wins order).
 func TestSetLinkStatesMatchesSequential(t *testing.T) {
 	ev := sessionTestEvaluator(t, topogen.RandKind, 16, 80, 73)
 	g := ev.Graph()
@@ -88,7 +88,7 @@ func TestSetLinkStatesMatchesSequential(t *testing.T) {
 		}
 		var last Result
 		for _, c := range chg {
-			last = seq.SetLinkState(c.Link, c.Up)
+			last = setLink(seq, c.Link, c.Up)
 		}
 		requireSameResult(t, "batch vs sequential", batch.SetLinkStates(chg), last)
 	}
@@ -143,7 +143,7 @@ func TestSetLinkStatesEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	w := RandomWeightSetting(g.NumLinks(), 20, rng)
 
-	// Empty (or fully no-op) batches are pure no-ops, like SetLinkState
+	// Empty (or fully no-op) batches are pure no-ops, like a flip
 	// restating the current state: the pending Apply undo survives and
 	// Revert still works.
 	s := ev.NewSession(graph.NewMask(g), -1)
@@ -216,7 +216,7 @@ func TestSetLinkStatesEdgeCases(t *testing.T) {
 	requireSameResult(t, "toggle after dead-endpoint batch",
 		ns.SetLinkStates([]LinkStateChange{{Link: other, Up: false}}), want)
 
-	// Before Init: panic, matching SetLinkState.
+	// Before Init: panic, matching Apply.
 	uninit := ev.NewSession(nil, -1)
 	defer func() {
 		if recover() == nil {

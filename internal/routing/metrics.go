@@ -9,7 +9,6 @@ type metrics struct {
 	inits         *obsv.Counter
 	updWeight     *obsv.Counter
 	updLink       *obsv.Counter
-	updBatch      *obsv.Counter
 	updDemand     *obsv.Counter
 	updDelta      *obsv.Counter
 	destsRepair   *obsv.Counter
@@ -18,7 +17,6 @@ type metrics struct {
 	destsSerial   *obsv.Counter
 	demandRebases *obsv.Counter
 	demandClones  *obsv.Counter
-	demandDense   *obsv.Counter
 	demandColumns *obsv.Histogram
 	batchLinks    *obsv.Histogram
 	workers       *obsv.Gauge
@@ -32,7 +30,6 @@ var met = obsv.NewView(func(r *obsv.Registry) *metrics {
 			"Full session rebases (Init), including demand-rebase fallbacks."),
 		updWeight: r.Counter("routing_session_updates_total", updHelp, obsv.L("kind", "weight")),
 		updLink:   r.Counter("routing_session_updates_total", updHelp, obsv.L("kind", "link")),
-		updBatch:  r.Counter("routing_session_updates_total", updHelp, obsv.L("kind", "link_batch")),
 		updDemand: r.Counter("routing_session_updates_total", updHelp, obsv.L("kind", "demand")),
 		updDelta:  r.Counter("routing_session_updates_total", updHelp, obsv.L("kind", "demand_delta")),
 		destsRepair: r.Counter("routing_session_dests_total",
@@ -51,8 +48,6 @@ var met = obsv.NewView(func(r *obsv.Registry) *metrics {
 			"Demand updates that exceeded the rebase threshold and fell back to a full Init."),
 		demandClones: r.Counter("routing_session_demand_clones_total",
 			"Clone-on-write copies of a shared demand matrix on the delta path."),
-		demandDense: r.Counter("routing_session_demand_dense_total",
-			"Demand updates routed through the dense batch path (in-place refresh, full re-sum)."),
 		demandColumns: r.Histogram("routing_session_demand_columns",
 			"Changed destination columns per demand update (both classes).", obsv.SizeBuckets),
 		batchLinks: r.Histogram("routing_session_batch_links",

@@ -130,8 +130,7 @@ func (s *Session) SetParallelism(k int) {
 }
 
 // destTask is one region-1 task: refresh destination t's caches for one
-// class. oldIdx indexes the undo stash of the task's class (-1 on the
-// dense demand path, which refreshes in place with no undo).
+// class. oldIdx indexes the undo stash of the task's class.
 type destTask struct {
 	t      int32
 	oldIdx int32
@@ -139,12 +138,10 @@ type destTask struct {
 }
 
 const (
-	taskDelayFull  int8 = iota // repair delay SPF + DAG + contribution
-	taskDelayDAG               // DAG/contribution refresh, distances kept
-	taskThruFull               // repair throughput SPF + contribution
-	taskThruDAG                // contribution refresh, distances kept
-	taskDelayDense             // dense demand path: contribution in place
-	taskThruDense              // dense demand path: contribution in place
+	taskDelayFull int8 = iota // repair delay SPF + DAG + contribution
+	taskDelayDAG              // DAG/contribution refresh, distances kept
+	taskThruFull              // repair throughput SPF + contribution
+	taskThruDAG               // contribution refresh, distances kept
 )
 
 // Region identifiers for the shared worker loop.
@@ -287,10 +284,6 @@ func (s *Session) destTaskRun(i int, wk *sesWorker) {
 			switch s.chg.kind {
 			case chgWeight:
 				st.Repair(wk.ws, g, s.w.Delay, s.chg.link, s.chg.oldD, s.w.Delay[s.chg.link], s.mask)
-			case chgLinkDown:
-				st.RepairLink(wk.ws, g, s.w.Delay, s.chg.link, false, s.mask)
-			case chgLinkUp:
-				st.RepairLink(wk.ws, g, s.w.Delay, s.chg.link, true, s.mask)
 			case chgBatch:
 				st.RepairBatch(wk.ws, g, s.w.Delay, s.batchD, s.mask)
 			}
@@ -311,10 +304,6 @@ func (s *Session) destTaskRun(i int, wk *sesWorker) {
 			switch s.chg.kind {
 			case chgWeight:
 				wk.ws.Repair(g, s.w.Throughput, s.chg.link, s.chg.oldT, s.w.Throughput[s.chg.link], s.mask)
-			case chgLinkDown:
-				wk.ws.RepairLinkDown(g, s.w.Throughput, s.chg.link, s.mask)
-			case chgLinkUp:
-				wk.ws.RepairLinkUp(g, s.w.Throughput, s.chg.link, s.mask)
 			case chgBatch:
 				wk.ws.RepairBatch(g, s.w.Throughput, s.batchT, s.mask)
 			}
@@ -327,16 +316,6 @@ func (s *Session) destTaskRun(i int, wk *sesWorker) {
 		demandColumn(s.demT, t, s.skipNode, wk.demCol)
 		s.tDropped[t] = wk.ws.AccumulateLoadsInto(g, s.w.Throughput, wk.demCol, s.mask, nc)
 		wk.markChanged(u.oldTContrib[tk.oldIdx], nc)
-	case taskDelayDense:
-		// Dense demand path: distances and DAG are untouched, the
-		// contribution is recomputed in place (region 2 re-sums every
-		// link, so no changed-link discovery is needed).
-		demandColumn(s.demD, t, s.skipNode, wk.demCol)
-		s.accumulateDelayLoads(&s.dDest[t], wk.demCol, wk.flow, s.dContrib[t])
-	case taskThruDense:
-		wk.ws.Restore(&s.tStates[t])
-		demandColumn(s.demT, t, s.skipNode, wk.demCol)
-		s.tDropped[t] = wk.ws.AccumulateLoadsInto(g, s.w.Throughput, wk.demCol, s.mask, s.tContrib[t])
 	}
 }
 
@@ -365,10 +344,7 @@ func (s *Session) initTaskRun(i int, wk *sesWorker) {
 // sums. Each task owns its link's slots; concurrent tasks never touch
 // the same memory.
 func (s *Session) linkTaskRun(i int) {
-	li := i
-	if !s.resumAll {
-		li = s.chgLinks[i]
-	}
+	li := s.chgLinks[i]
 	n := s.e.g.NumNodes()
 	var sumD, sumT float64
 	for t := 0; t < n; t++ {

@@ -41,7 +41,7 @@ func driveTwinSessions(t *testing.T, ev *Evaluator, steps int, seed int64) {
 		case r < 0.25:
 			li := rng.Intn(m)
 			down[li] = !down[li]
-			check("toggle", ser.SetLinkState(li, !down[li]), par.SetLinkState(li, !down[li]))
+			check("toggle", setLink(ser, li, !down[li]), setLink(par, li, !down[li]))
 		case r < 0.4:
 			k := 2 + rng.Intn(8)
 			chg := make([]LinkStateChange, 0, k)
@@ -161,8 +161,8 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 		s.Apply(l, int32(1+rng.Intn(20)), int32(1+rng.Intn(20)))
 		s.Revert()
 		li := rng.Intn(m)
-		s.SetLinkState(li, false)
-		s.SetLinkState(li, true)
+		setLink(s, li, false)
+		setLink(s, li, true)
 		for j := range chg {
 			chg[j] = LinkStateChange{Link: rng.Intn(m), Up: rng.Intn(2) == 0}
 		}

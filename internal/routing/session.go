@@ -9,8 +9,9 @@ import (
 )
 
 // Session is a stateful incremental evaluator for a local search that
-// changes one link's weights at a time. It caches, for a fixed failure
-// scenario (mask + skipNode) and the current weight setting:
+// changes one link's weights at a time, and for the online telemetry
+// stream that moves its failure and demand state. It caches, for the
+// current failure scenario (mask + skipNode) and weight setting:
 //
 //   - both classes' per-destination SPF snapshots (spf.State),
 //   - each destination's per-link load contribution,
@@ -26,12 +27,18 @@ import (
 // whose distance actually moved. Apply then folds the new contributions
 // into the link loads and re-runs the delay DP only for destinations
 // whose DAG changed or crosses a link whose delay value moved. Revert
-// undoes the last Apply exactly. Demand updates (SetDemands,
-// ApplyDemandDelta; see demand.go) never touch shortest-path state at
-// all: weights are unchanged, so only the destination columns whose
-// demands moved recompute their load contributions and Λ subtotals.
-// Full Dijkstras remain only where no pre-change snapshot exists: Init
-// and the dense-demand-update fallback rebase.
+// undoes the last Apply exactly.
+//
+// Telemetry has one update per event class. Link events, one flip or
+// many, go through SetLinkStates (see linkbatch.go): one classification
+// and one multi-link repair pass per affected destination. Demand
+// updates (SetDemands, ApplyDemandDelta; see demand.go) never touch
+// shortest-path state at all: weights are unchanged, so only the
+// destination columns whose demands moved recompute their load
+// contributions and Λ subtotals, unless the update moves more columns
+// than the rebase threshold and pays a full Init instead. Full
+// Dijkstras remain only where no pre-change snapshot exists: Init and
+// that demand rebase.
 //
 // Every Apply/Init result is bit-identical to what the stateless
 // Evaluator.Evaluate computes for the same weights and scenario: the
@@ -96,29 +103,20 @@ type Session struct {
 	// session's own scratch buffers, the only worker the serial path
 	// touches; extra workers are borrowed from the evaluator's shared
 	// free list while a recompute's parallel regions run.
-	parK     int // worker budget; 1 = serial (the default)
-	self     sesWorker
-	workers  []*sesWorker
-	tasks    []destTask
-	lamQ     []int // Init's alive-destination list
-	lamRun   []int // region 3's task list (u.lamDests or lamQ)
-	pr       parRun
-	parGo    func() // parBody pre-bound once, so spawns allocate nothing
-	resumAll bool   // region 2 re-sums every link (dense demand path)
+	parK    int // worker budget; 1 = serial (the default)
+	self    sesWorker
+	workers []*sesWorker
+	tasks   []destTask
+	lamQ    []int // Init's alive-destination list
+	lamRun  []int // region 3's task list (u.lamDests or lamQ)
+	pr      parRun
+	parGo   func() // parBody pre-bound once, so spawns allocate nothing
 
 	// Batched link events (SetLinkStates; see linkbatch.go).
 	lsChanges      []LinkStateChange // effective flips, deduplicated
 	lsMark         []int32           // this epoch: link goes down in the batch
 	lsEpoch        int32
 	batchD, batchT []spf.LinkChange // the batch in each class's weights
-
-	// Dense demand path (see demand.go): when a demand update moves more
-	// than denseFrac of the 2n columns, changed columns refresh in place
-	// and every link load is re-summed, skipping per-column undo
-	// bookkeeping and changed-link discovery.
-	denseFrac      float64
-	denseCols      bool
-	denseD, denseT []int
 
 	// Span tracing (see span.go). spanTrace == 0 (the default) keeps the
 	// session span-silent; spRoot is the open update root span and
@@ -137,12 +135,12 @@ type Session struct {
 
 	// chg describes the link event driving the current recompute, so
 	// Dijkstra-required destinations can repair their snapshots
-	// (spf.State.Repair / Workspace.RepairLink* / State.RepairBatch)
-	// instead of re-running Dijkstra. Init rebases from scratch and
-	// demand updates classify every touched destination as DAG-only, so
-	// neither sets it. chgBatch takes the link set from batchD/batchT.
+	// (spf.State.Repair / State.RepairBatch) instead of re-running
+	// Dijkstra. Init rebases from scratch and demand updates classify
+	// every touched destination as DAG-only, so neither sets it.
+	// chgBatch takes the link set from batchD/batchT.
 	chg struct {
-		kind       int // chgWeight, chgLinkDown, chgLinkUp, chgBatch
+		kind       int // chgWeight or chgBatch
 		link       int
 		oldD, oldT int32 // pre-move class weights (chgWeight only)
 	}
@@ -151,8 +149,6 @@ type Session struct {
 // Kinds of link change a recompute can repair from.
 const (
 	chgWeight = iota
-	chgLinkDown
-	chgLinkUp
 	chgBatch
 )
 
@@ -229,7 +225,6 @@ func (e *Evaluator) NewSession(mask *graph.Mask, skipNode int) *Session {
 		lsMark:     make([]int32, m),
 		parK:       1,
 		rebaseFrac: demandRebaseFracDefault,
-		denseFrac:  demandDenseFracDefault,
 	}
 	s.self = sesWorker{
 		ws:     spf.NewWorkspace(e.g),
@@ -438,9 +433,10 @@ func (s *Session) Apply(l int, wd, wt int32) Result {
 // each class have been classified into s.affD/s.dagD (delay: fresh
 // Dijkstra vs DAG-only refresh) and s.affT/s.dagT (throughput), stashing
 // everything it overwrites into u so Revert can restore it. It is the
-// shared tail of Apply (weight moves) and SetLinkState (topology moves);
-// the caller must already have committed the triggering change (weights
-// or mask) to the session.
+// shared tail of Apply (weight moves), SetLinkStates (topology moves)
+// and the per-column demand refresh; the caller must already have
+// committed the triggering change (weights, mask or matrices) to the
+// session.
 func (s *Session) recompute(u *undoState) {
 	if m := met.Get(); m != nil {
 		m.destsRepair.Add(int64(len(s.affD) + len(s.affT)))
@@ -462,56 +458,39 @@ func (s *Session) recompute(u *undoState) {
 	// Serial prep: stash the old per-destination caches and pop their
 	// replacements from the free lists in a fixed order (affD, dagD,
 	// affT, dagT — the order Revert indexes the stash by), building the
-	// task list for region 1. On the dense demand path the changed
-	// columns refresh in place instead: no stash, no undo.
+	// task list for region 1.
 	s.tasks = s.tasks[:0]
-	thruTouched := false
-	if s.denseCols {
-		for _, t := range s.denseD {
-			if s.alive(t) {
-				s.tasks = append(s.tasks, destTask{t: int32(t), oldIdx: -1, kind: taskDelayDense})
-			}
-		}
-		for _, t := range s.denseT {
-			if s.alive(t) {
-				s.tasks = append(s.tasks, destTask{t: int32(t), oldIdx: -1, kind: taskThruDense})
-				thruTouched = true
-			}
-		}
-	} else {
-		for i, t := range s.affD {
-			u.oldDDest = append(u.oldDDest, s.dDest[t])
-			s.dDest[t] = s.newDest()
-			u.oldDContrib = append(u.oldDContrib, s.dContrib[t])
-			s.dContrib[t] = s.newContrib()
-			s.tasks = append(s.tasks, destTask{t: int32(t), oldIdx: int32(i), kind: taskDelayFull})
-		}
-		base := len(s.affD)
-		for j, t := range s.dagD {
-			u.oldDDest = append(u.oldDDest, s.dDest[t])
-			s.dDest[t] = s.newDest()
-			u.oldDContrib = append(u.oldDContrib, s.dContrib[t])
-			s.dContrib[t] = s.newContrib()
-			s.tasks = append(s.tasks, destTask{t: int32(t), oldIdx: int32(base + j), kind: taskDelayDAG})
-		}
-		for i, t := range s.affT {
-			u.oldTStates = append(u.oldTStates, s.tStates[t])
-			s.tStates[t] = s.newState()
-			u.oldTContrib = append(u.oldTContrib, s.tContrib[t])
-			s.tContrib[t] = s.newContrib()
-			u.oldTDropped = append(u.oldTDropped, s.tDropped[t])
-			s.tasks = append(s.tasks, destTask{t: int32(t), oldIdx: int32(i), kind: taskThruFull})
-		}
-		base = len(s.affT)
-		for j, t := range s.dagT {
-			u.oldTStates = append(u.oldTStates, s.tStates[t])
-			s.tStates[t] = s.newState()
-			u.oldTContrib = append(u.oldTContrib, s.tContrib[t])
-			s.tContrib[t] = s.newContrib()
-			u.oldTDropped = append(u.oldTDropped, s.tDropped[t])
-			s.tasks = append(s.tasks, destTask{t: int32(t), oldIdx: int32(base + j), kind: taskThruDAG})
-		}
-		thruTouched = len(s.affT)+len(s.dagT) > 0
+	for i, t := range s.affD {
+		u.oldDDest = append(u.oldDDest, s.dDest[t])
+		s.dDest[t] = s.newDest()
+		u.oldDContrib = append(u.oldDContrib, s.dContrib[t])
+		s.dContrib[t] = s.newContrib()
+		s.tasks = append(s.tasks, destTask{t: int32(t), oldIdx: int32(i), kind: taskDelayFull})
+	}
+	base := len(s.affD)
+	for j, t := range s.dagD {
+		u.oldDDest = append(u.oldDDest, s.dDest[t])
+		s.dDest[t] = s.newDest()
+		u.oldDContrib = append(u.oldDContrib, s.dContrib[t])
+		s.dContrib[t] = s.newContrib()
+		s.tasks = append(s.tasks, destTask{t: int32(t), oldIdx: int32(base + j), kind: taskDelayDAG})
+	}
+	for i, t := range s.affT {
+		u.oldTStates = append(u.oldTStates, s.tStates[t])
+		s.tStates[t] = s.newState()
+		u.oldTContrib = append(u.oldTContrib, s.tContrib[t])
+		s.tContrib[t] = s.newContrib()
+		u.oldTDropped = append(u.oldTDropped, s.tDropped[t])
+		s.tasks = append(s.tasks, destTask{t: int32(t), oldIdx: int32(i), kind: taskThruFull})
+	}
+	base = len(s.affT)
+	for j, t := range s.dagT {
+		u.oldTStates = append(u.oldTStates, s.tStates[t])
+		s.tStates[t] = s.newState()
+		u.oldTContrib = append(u.oldTContrib, s.tContrib[t])
+		s.tContrib[t] = s.newContrib()
+		u.oldTDropped = append(u.oldTDropped, s.tDropped[t])
+		s.tasks = append(s.tasks, destTask{t: int32(t), oldIdx: int32(base + j), kind: taskThruDAG})
 	}
 
 	// Region 1: refresh the affected destinations. Dijkstra-required
@@ -545,30 +524,21 @@ func (s *Session) recompute(u *undoState) {
 	// re-sum below is independent and deterministic.
 	s.markEpoch++
 	s.chgLinks = s.chgLinks[:0]
-	s.resumAll = s.denseCols
-	nlinks := 0
-	if s.resumAll {
-		nlinks = len(s.loadD)
-	} else {
-		for _, wk := range s.workers {
-			for _, li := range wk.cand {
-				if s.linkMark[li] != s.markEpoch {
-					s.linkMark[li] = s.markEpoch
-					s.chgLinks = append(s.chgLinks, li)
-				}
+	for _, wk := range s.workers {
+		for _, li := range wk.cand {
+			if s.linkMark[li] != s.markEpoch {
+				s.linkMark[li] = s.markEpoch
+				s.chgLinks = append(s.chgLinks, li)
 			}
 		}
-		nlinks = len(s.chgLinks)
 	}
 
 	// Region 2: re-sum the changed links' class loads over all
 	// destinations in ascending order — the same order the from-scratch
 	// pass adds them, so unchanged terms reproduce the exact same
-	// floating-point sums. (The dense path re-sums every link, which is
-	// Init's exact per-link addition order.)
-	s.runRegion(regionLinks, nlinks)
-	s.resumAll = false
-	if thruTouched {
+	// floating-point sums.
+	s.runRegion(regionLinks, len(s.chgLinks))
+	if len(s.affT)+len(s.dagT) > 0 {
 		var sum float64
 		for t := 0; t < n; t++ {
 			if !s.alive(t) {
@@ -603,13 +573,6 @@ func (s *Session) recompute(u *undoState) {
 	}
 	for _, t := range s.dagD {
 		s.needDP[t] = true
-	}
-	if s.denseCols {
-		for _, t := range s.denseD {
-			if s.alive(t) {
-				s.needDP[t] = true
-			}
-		}
 	}
 	if len(s.chgLinks) > 0 {
 		for t := 0; t < n; t++ {
@@ -706,180 +669,10 @@ func (s *Session) Revert() {
 	s.res = u.res
 }
 
-// SetLinkState marks directed link li down (up=false) or restores it
-// (up=true), incrementally re-evaluates the session under the changed
-// failure state, and returns the new Result — the topology half of an
-// online telemetry stream (the other half, demand updates, is
-// SetDemands). The change commits immediately: it clears any pending
-// Apply undo and cannot itself be reverted. Results are bit-identical
-// to a from-scratch evaluation under the updated mask.
-//
-// Affected-destination classification mirrors the weight-move tests as
-// their infinite-weight limits. Failing a link can only matter to
-// destinations that have it on their ECMP DAG (a non-tight link carries
-// nothing and only gets less attractive); distances survive — a
-// DAG-only refresh — iff the link's tail keeps at least one other tight
-// successor. Restoring a link (u,v) with weight w can only matter where
-// w + dist(v) ties (joins the DAG, distances unchanged) or beats
-// (fresh Dijkstra) the cached dist(u): any new path runs through the
-// restored arc, so dist(v) bounds what it can offer. Unlike a weight
-// move, the per-link aggregate pass re-runs even with no affected
-// destinations: link aliveness itself feeds the utilization summary.
-func (s *Session) SetLinkState(li int, up bool) Result {
-	if !s.inited {
-		panic("routing: Session.SetLinkState before Init")
-	}
-	if m := met.Get(); m != nil {
-		m.updLink.Inc()
-	}
-	g := s.e.g
-	if s.mask == nil {
-		if up {
-			return s.res // an absent mask means everything is already up
-		}
-		s.mask = graph.NewMask(g)
-	}
-	if up == !s.mask.LinkFailed(li) {
-		return s.res // already in the desired state
-	}
-	s.recycleUndo()
-	s.canRevert = false
-	s.undo.noop = false
-
-	// A link whose endpoint node is down is dead either way: flipping its
-	// own bit changes nothing observable.
-	if !s.mask.NodeAlive(int(s.linkFrom[li])) || !s.mask.NodeAlive(int(s.linkTo[li])) {
-		if up {
-			s.mask.ReviveLink(li)
-		} else {
-			s.mask.FailLink(li)
-		}
-		return s.res
-	}
-	return s.applyLinkFlip(li, up)
-}
-
-// applyLinkFlip is the shared evaluation tail of SetLinkState and a
-// single-flip SetLinkStates batch: classify against the pre-flip
-// snapshots, commit the flip, recompute. The caller has already cleared
-// the undo state and ruled out no-ops and dead-endpoint flips.
-func (s *Session) applyLinkFlip(li int, up bool) Result {
-	sp := s.beginUpdateSpan("session.link")
-	sp.SetAttr("link", int64(li))
-	if up {
-		sp.SetAttr("up", 1)
-	}
-	u := &s.undo
-	n := s.e.g.NumNodes()
-	csp := sp.Child("session.classify")
-	s.affD, s.dagD = s.affD[:0], s.dagD[:0]
-	s.affT, s.dagT = s.affT[:0], s.dagT[:0]
-	for t := 0; t < n; t++ {
-		if !s.alive(t) {
-			continue
-		}
-		switch s.classifyDelayLinkState(t, li, up) {
-		case affectFull:
-			s.affD = append(s.affD, t)
-		case affectDAGOnly:
-			s.dagD = append(s.dagD, t)
-		}
-		switch s.classifyThroughputLinkState(t, li, up) {
-		case affectFull:
-			s.affT = append(s.affT, t)
-		case affectDAGOnly:
-			s.dagT = append(s.dagT, t)
-		}
-	}
-	csp.End()
-	if up {
-		s.mask.ReviveLink(li)
-		s.chg.kind = chgLinkUp
-	} else {
-		s.mask.FailLink(li)
-		s.chg.kind = chgLinkDown
-	}
-	s.chg.link = li
-	u.res = s.res
-	u.droppedT = s.droppedT
-	s.recompute(u)
-	s.endUpdateSpan(sp)
-	return s.res
-}
-
-// classifyDelayLinkState classifies failing (up=false) or restoring
-// (up=true) link li for destination t's delay-class cache: the
-// newW → ∞ respectively ∞ → w limits of classifyDelay. The caller has
-// already established that the link's own state actually flips and that
-// both endpoints are alive.
-func (s *Session) classifyDelayLinkState(t, li int, up bool) int {
-	dc := &s.dDest[t]
-	dist := dc.state.Dist
-	dv := dist[s.linkTo[li]]
-	if dv >= spf.Inf {
-		return affectNone // the link can never lead to this destination
-	}
-	du := dist[s.linkFrom[li]]
-	if up {
-		switch nd := dv + int64(s.w.Delay[li]); {
-		case nd > du:
-			return affectNone
-		case nd == du:
-			return affectDAGOnly // joins the DAG at a distance tie
-		default:
-			return affectFull // strictly shorter: distances change
-		}
-	}
-	if du != dv+int64(s.w.Delay[li]) {
-		return affectNone // off the DAG: it carried nothing
-	}
-	// On the DAG; the cached adjacency gives the tail's ECMP out-degree.
-	if u := s.linkFrom[li]; dc.dagOff[u+1]-dc.dagOff[u] >= 2 {
-		return affectDAGOnly
-	}
-	return affectFull
-}
-
-// classifyThroughputLinkState is classifyDelayLinkState for the
-// throughput class; with no cached adjacency the leave-DAG case counts
-// the tail's tight successors by scanning its out-links.
-func (s *Session) classifyThroughputLinkState(t, li int, up bool) int {
-	st := &s.tStates[t]
-	dist := st.Dist
-	dv := dist[s.linkTo[li]]
-	if dv >= spf.Inf {
-		return affectNone
-	}
-	du := dist[s.linkFrom[li]]
-	if up {
-		switch nd := dv + int64(s.w.Throughput[li]); {
-		case nd > du:
-			return affectNone
-		case nd == du:
-			return affectDAGOnly
-		default:
-			return affectFull
-		}
-	}
-	if du != dv+int64(s.w.Throughput[li]) {
-		return affectNone
-	}
-	u := s.linkFrom[li]
-	k := 0
-	for _, lj := range s.e.g.OutLinks(int(u)) {
-		dvj := dist[s.linkTo[lj]]
-		if dvj < spf.Inf && du == dvj+int64(s.w.Throughput[lj]) && s.mask.LinkAlive(int(lj)) {
-			if k++; k >= 2 {
-				return affectDAGOnly
-			}
-		}
-	}
-	return affectFull
-}
-
 // Mask returns the session's failure mask (nil = intact topology). It is
-// owned by the session; callers must not mutate it directly — use
-// SetLinkState — but may read it to mirror the session's scenario.
+// owned by the session; callers must not mutate it directly — link
+// events go through SetLinkStates — but may read it to mirror the
+// session's scenario.
 func (s *Session) Mask() *graph.Mask { return s.mask }
 
 func (s *Session) assemble(lambda, phi float64, violations, disconnected int, maxUtil, sumUtil float64, aliveLinks int) Result {

@@ -24,6 +24,11 @@ func sessionTestEvaluator(t testing.TB, kind topogen.Kind, nodes, links int, see
 	return NewEvaluator(g, demD, demT, cost.DefaultParams(), WorstPath)
 }
 
+// setLink flips one link through a one-change SetLinkStates batch.
+func setLink(s *Session, li int, up bool) Result {
+	return s.SetLinkStates([]LinkStateChange{{Link: li, Up: up}})
+}
+
 // requireSameResult asserts bit-identical aggregate results (Detail
 // fields excluded; sessions never fill them).
 func requireSameResult(t *testing.T, step string, got, want Result) {
@@ -213,12 +218,12 @@ func TestSessionSetLinkStateMatchesEvaluator(t *testing.T) {
 			if down[li] {
 				down[li] = false
 				ref.ReviveLink(li)
-				s.SetLinkState(li, true)
+				setLink(s, li, true)
 				check("link-up")
 			} else {
 				down[li] = true
 				ref.FailLink(li)
-				s.SetLinkState(li, false)
+				setLink(s, li, false)
 				check("link-down")
 			}
 		case r < 0.85:
@@ -252,7 +257,7 @@ func TestSessionSetLinkStateNoop(t *testing.T) {
 
 	nil1 := ev.NewSession(nil, -1)
 	before := nil1.Init(w)
-	requireSameResult(t, "nil-mask link-up", nil1.SetLinkState(3, true), before)
+	requireSameResult(t, "nil-mask link-up", setLink(nil1, 3, true), before)
 
 	v := 3
 	s := ev.NewNodeFailureSession(v)
@@ -278,12 +283,12 @@ func TestSessionSetLinkStateNoop(t *testing.T) {
 	if incident < 0 {
 		t.Fatal("no link incident to failed node")
 	}
-	s.SetLinkState(incident, false)
+	setLink(s, incident, false)
 	ref.FailLink(incident)
 	check("incident down")
-	s.SetLinkState(incident, false) // already down
+	setLink(s, incident, false) // already down
 	check("incident down again")
-	s.SetLinkState(incident, true)
+	setLink(s, incident, true)
 	ref.ReviveLink(incident)
 	check("incident up")
 	// And a normal toggle on the same session still tracks exactly.
@@ -291,7 +296,7 @@ func TestSessionSetLinkStateNoop(t *testing.T) {
 	if int(g.Link(other).From) == v || int(g.Link(other).To) == v {
 		other = (other + 1) % g.NumLinks()
 	}
-	s.SetLinkState(other, false)
+	setLink(s, other, false)
 	ref.FailLink(other)
 	check("other down")
 }
@@ -329,7 +334,7 @@ func TestSessionScenarioDemandsMatchEvaluator(t *testing.T) {
 			} else {
 				ref.ReviveLink(li)
 			}
-			s.SetLinkState(li, !down[li])
+			setLink(s, li, !down[li])
 			check("toggle")
 			continue
 		}

@@ -49,7 +49,7 @@ func driveSoak(t *testing.T, ev *Evaluator, steps int, seed int64, workers int) 
 			} else {
 				ref.ReviveLink(li)
 			}
-			s.SetLinkState(li, !down[li])
+			setLink(s, li, !down[li])
 			check("toggle")
 		case r < 0.5:
 			// Batched multi-link event: random targets, so entries may

@@ -44,8 +44,8 @@ func TestSessionSpansSilentWithoutContext(t *testing.T) {
 	before := reg.Spans().Total()
 	s.Apply(0, 3, 4)
 	s.Revert()
-	s.SetLinkState(1, false)
-	s.SetLinkState(1, true)
+	setLink(s, 1, false)
+	setLink(s, 1, true)
 	if got := reg.Spans().Total(); got != before {
 		t.Fatalf("recorded %d spans without a span context", got-before)
 	}
@@ -132,8 +132,8 @@ func TestSessionLinkFlapSpans(t *testing.T) {
 	reg, s := spanTestSetup(t, 1)
 	outer := reg.Spans().Start("test.outer")
 	s.SetSpanContext(outer.TraceID(), outer.ID())
-	s.SetLinkState(3, false)
-	s.SetLinkState(3, true)
+	setLink(s, 3, false)
+	setLink(s, 3, true)
 	outer.End()
 
 	idx := spanIndex(reg.Spans().TraceSpans(outer.TraceID()))

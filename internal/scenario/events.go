@@ -46,10 +46,7 @@ type Event struct {
 	// Link is the directed link index of a link event.
 	Link int
 	// DemD and DemT replace the base demand matrices on an EventDemand;
-	// a nil matrix restores the base traffic of that class. On an
-	// EventDemandDelta onset they may additionally carry the dense
-	// rendering of the post-delta state, for consumers that do not
-	// track demand state incrementally.
+	// a nil matrix restores the base traffic of that class.
 	DemD, DemT *traffic.Matrix
 	// DeltaD and DeltaT are the sparse demand updates of an
 	// EventDemandDelta, per class (nil = no change in that class),
@@ -132,12 +129,11 @@ func renderEpisode(g *graph.Graph, mask *graph.Mask, sc Scenario) Episode {
 	}
 	if demD != nil || demT != nil {
 		// Sparse rendering when the scenario offers one: onset applies
-		// the deltas (the dense matrices ride along for stateless
-		// consumers), recovery applies their exact inverses, returning
+		// the deltas, recovery applies their exact inverses, returning
 		// to the base state bit for bit.
 		if ds, ok := sc.(DeltaScenario); ok {
 			if dd, dt := ds.TrafficDeltas(); dd.Len()+dt.Len() > 0 {
-				ep.Onset = append(ep.Onset, Event{Kind: EventDemandDelta, DeltaD: dd, DeltaT: dt, DemD: demD, DemT: demT, Label: ep.Name})
+				ep.Onset = append(ep.Onset, Event{Kind: EventDemandDelta, DeltaD: dd, DeltaT: dt, Label: ep.Name})
 				ep.Recovery = append(ep.Recovery, Event{Kind: EventDemandDelta, DeltaD: dd.Inverse(), DeltaT: dt.Inverse(), Label: ep.Name})
 				return ep
 			}

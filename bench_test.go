@@ -371,6 +371,35 @@ func BenchmarkPhase1Incremental1000(b *testing.B) {
 	benchPhase1Sized(b, 1000, 5000, 1, runtime.GOMAXPROCS(0))
 }
 
+// Exact Phase 1b from scratch versus on worker sessions: TopUpSamples
+// on one fixed std-budget Phase 1 result of the 30-node/180-link
+// RandTopo (Phase 1 runs once, outside the timer), with FullEval on and
+// off. Each op evaluates every (pool entry, link) failure, and both
+// modes fill the sampler with bit-identical samples (see opt's
+// equivalence tests), so the Full/Incremental ns/op ratio is the
+// session path's speed-up. evals_per_sec counts those link-failure
+// evaluations.
+func benchPhase1b(b *testing.B, fullEval bool) {
+	b.Helper()
+	ev, _ := benchEvaluator(b, 30, 180)
+	cfg := opt.QuickConfig() // the facade's "std" budget
+	p1 := opt.New(ev, cfg).RunPhase1()
+	cfg.FullEval = fullEval
+	o := opt.New(ev, cfg)
+	evals := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := *p1
+		o.TopUpSamples(&r)
+		evals += r.Stats.Evaluations - p1.Stats.Evaluations
+	}
+	b.ReportMetric(float64(evals)/b.Elapsed().Seconds(), "evals_per_sec")
+}
+
+func BenchmarkPhase1bFull30(b *testing.B) { benchPhase1b(b, true) }
+
+func BenchmarkPhase1bIncremental30(b *testing.B) { benchPhase1b(b, false) }
+
 // BenchmarkRepairVsDijkstra isolates the tentpole primitive: one
 // destination's SPF on the Table III 100-node RandTopo maintained
 // through link-down/link-up event pairs, by a fresh Dijkstra per event

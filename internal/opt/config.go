@@ -67,24 +67,30 @@ type Config struct {
 	// weight; with the Fortz–Thorup wmax=20 used here, an emulated
 	// "failed" link can still sit on shortest paths, so the exact
 	// distribution (the paper's own "infinite weight" limit) is both
-	// cheaper and more faithful at reduced budgets. See DESIGN.md.
+	// cheaper and more faithful at reduced budgets. Unless FullEval is
+	// set, the removals run on one incremental Session per worker: Init
+	// once per pool entry, then per link SetLinkStates and Revert,
+	// bit-identical to from-scratch link-failure evaluations. See
+	// DESIGN.md.
 	ExactPhase1b bool
-	// SessionBudgetBytes caps the memory the per-scenario incremental
-	// sessions of the robust search may claim, estimated via
-	// Evaluator.SessionBytes (one session per scenario plus normal
-	// conditions). Beyond the budget — very large topologies optimized
-	// against very large failure sets — Phase 2 falls back to
-	// from-scratch sweeps, which produce bit-identical results, just
-	// slower. 0 means DefaultSessionBudgetBytes (1 GiB).
+	// SessionBudgetBytes caps the memory the incremental sessions of
+	// Phase 1b and the robust search may claim, estimated via
+	// Evaluator.SessionBytes. Phase 2 needs one session per scenario
+	// plus normal conditions; Phase 1b runs as many worker sessions as
+	// fit, up to GOMAXPROCS. A phase whose sessions do not fit — very
+	// large topologies optimized against very large failure sets — falls
+	// back to from-scratch sweeps, which produce bit-identical results,
+	// just slower. 0 means DefaultSessionBudgetBytes (1 GiB).
 	SessionBudgetBytes int64
 	// FullEval disables the incremental evaluation engine: every move in
-	// the Phase 1/Phase 2 inner loops is evaluated from scratch instead
-	// of through delta-SPF sessions (which themselves repair affected
-	// SPF snapshots in place rather than re-running Dijkstra; see
-	// spf/repair.go). The two modes visit the same moves with the same
-	// RNG stream and produce bit-identical Solutions (the sessions'
-	// contract, see routing.Session); FullEval exists as the oracle for
-	// equivalence tests and as the benchmark baseline.
+	// the Phase 1/Phase 2 inner loops, and every exact Phase 1b link
+	// removal, is evaluated from scratch instead of through delta-SPF
+	// sessions (which themselves repair affected SPF snapshots in place
+	// rather than re-running Dijkstra; see spf/repair.go). The two modes
+	// visit the same moves with the same RNG stream and produce
+	// bit-identical Solutions (the sessions' contract, see
+	// routing.Session); FullEval exists as the oracle for equivalence
+	// tests and as the benchmark baseline.
 	FullEval bool
 	// Parallelism is the worker budget of the incremental sessions'
 	// per-destination recompute regions (routing.Session.SetParallelism):

@@ -1,10 +1,15 @@
 package opt
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/obsv"
 	"repro/internal/routing"
 	"repro/internal/scenario"
 	"repro/internal/topogen"
@@ -28,24 +33,52 @@ func equivalenceEvaluator(t *testing.T, kind topogen.Kind, nodes, links int, see
 	return routing.NewEvaluator(g, demD, demT, cost.DefaultParams(), routing.WorstPath)
 }
 
+// requireSameEstimate asserts that two criticality estimates agree bit
+// for bit in all four per-link vectors.
+func requireSameEstimate(t *testing.T, label string, got, want core.Criticality) {
+	t.Helper()
+	vecs := []struct {
+		name      string
+		got, want []float64
+	}{
+		{"RhoLambda", got.RhoLambda, want.RhoLambda},
+		{"RhoPhi", got.RhoPhi, want.RhoPhi},
+		{"TailLambda", got.TailLambda, want.TailLambda},
+		{"TailPhi", got.TailPhi, want.TailPhi},
+	}
+	for _, v := range vecs {
+		if len(v.got) != len(v.want) {
+			t.Fatalf("%s: %s has %d links, want %d", label, v.name, len(v.got), len(v.want))
+		}
+		for l := range v.got {
+			if math.Float64bits(v.got[l]) != math.Float64bits(v.want[l]) {
+				t.Fatalf("%s: %s[%d] = %v, want %v", label, v.name, l, v.got[l], v.want[l])
+			}
+		}
+	}
+}
+
 // TestIncrementalMatchesFullEval is the refactor's acceptance bar: the
 // session-based Phase 1/Phase 2 pipeline must produce bit-identical
-// Solutions (weights, costs, critical set) to the from-scratch
-// full-evaluation path under the same seeds, on more than one topology
-// family.
+// Solutions (weights, costs, Phase 1b samples, critical set) to the
+// from-scratch full-evaluation path under the same seeds, on more than
+// one topology family and under both failure semantics.
 func TestIncrementalMatchesFullEval(t *testing.T) {
 	cases := []struct {
 		name         string
 		kind         topogen.Kind
 		nodes, links int
+		failBoth     bool
 	}{
-		{"rand8", topogen.RandKind, 8, 40},
-		{"isp16", topogen.ISPKind, 0, 0},
+		{"rand8", topogen.RandKind, 8, 40, false},
+		{"isp16", topogen.ISPKind, 0, 0, false},
+		{"rand8-failboth", topogen.RandKind, 8, 40, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
 			cfg.Seed = 7
+			cfg.FailBoth = tc.failBoth
 
 			cfgFull := cfg
 			cfgFull.FullEval = true
@@ -74,6 +107,10 @@ func TestIncrementalMatchesFullEval(t *testing.T) {
 			if full.Phase1.Sampler.Total() != inc.Phase1.Sampler.Total() {
 				t.Errorf("sample totals differ: %d vs %d", full.Phase1.Sampler.Total(), inc.Phase1.Sampler.Total())
 			}
+			requireSameEstimate(t, "phase 1b", inc.Phase1.Sampler.Estimate(), full.Phase1.Sampler.Estimate())
+			if full.Phase1.Stats.Evaluations != inc.Phase1.Stats.Evaluations {
+				t.Errorf("phase 1 evaluations %d vs %d", full.Phase1.Stats.Evaluations, inc.Phase1.Stats.Evaluations)
+			}
 			if len(full.Critical) != len(inc.Critical) {
 				t.Fatalf("critical set sizes differ: %d vs %d", len(full.Critical), len(inc.Critical))
 			}
@@ -93,6 +130,66 @@ func TestIncrementalMatchesFullEval(t *testing.T) {
 				t.Errorf("phase 2 normal cost %+v != %+v", full.Phase2.Normal.Cost, inc.Phase2.Normal.Cost)
 			}
 		})
+	}
+	t.Run("phase1b-workers", phase1bWorkersMatchFullEval)
+}
+
+// phase1bWorkersMatchFullEval pins exact Phase 1b on worker sessions
+// against the from-scratch sweep on one Phase 1 result: at GOMAXPROCS 1
+// and 3, with the whole pool (entries as tasks) and with a one-entry
+// pool (split into link blocks), under both failure semantics, and with
+// a session budget below one session, which must take the from-scratch
+// fallback. Every variant must give the oracle's samples bit for bit.
+func phase1bWorkersMatchFullEval(t *testing.T) {
+	reg := obsv.NewRegistry()
+	obsv.SetDefault(reg)
+	defer obsv.SetDefault(nil)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	linkUpdates := reg.Counter("routing_session_updates_total", "", obsv.L("kind", "link"))
+
+	ev := equivalenceEvaluator(t, topogen.RandKind, 8, 40, 29)
+	m := ev.Graph().NumLinks()
+	cfg := testConfig()
+	cfg.Seed = 5
+	p1 := New(ev, cfg).RunPhase1()
+	// Pad the pool with random settings so it has more entries than
+	// workers; Phase 1b's arithmetic does not care whether they passed
+	// the pool gate.
+	big := append([]PoolEntry(nil), p1.Pool...)
+	rng := rand.New(rand.NewSource(6))
+	for len(big) < 5 {
+		big = append(big, PoolEntry{W: routing.RandomWeightSetting(m, cfg.WMax, rng)})
+	}
+	for _, failBoth := range []bool{false, true} {
+		for _, pool := range [][]PoolEntry{big, big[:1]} {
+			topUp := func(c Config) *Phase1Result {
+				c.FailBoth = failBoth
+				r := *p1
+				r.Pool = pool
+				New(ev, c).TopUpSamples(&r)
+				return &r
+			}
+			oracleCfg := cfg
+			oracleCfg.FullEval = true
+			want := topUp(oracleCfg).Sampler.Estimate()
+			label := fmt.Sprintf("failBoth=%v pool=%d", failBoth, len(pool))
+			for _, procs := range []int{1, 3} {
+				runtime.GOMAXPROCS(procs)
+				before := linkUpdates.Value()
+				got := topUp(cfg)
+				requireSameEstimate(t, fmt.Sprintf("%s procs=%d", label, procs), got.Sampler.Estimate(), want)
+				if n := linkUpdates.Value() - before; n != int64(len(pool)*m) {
+					t.Errorf("%s procs=%d: %d session link updates, want %d", label, procs, n, len(pool)*m)
+				}
+			}
+			tight := cfg
+			tight.SessionBudgetBytes = ev.SessionBytes() - 1
+			before := linkUpdates.Value()
+			requireSameEstimate(t, label+" fallback", topUp(tight).Sampler.Estimate(), want)
+			if n := linkUpdates.Value() - before; n != 0 {
+				t.Errorf("%s: budget below one session still ran %d session link updates", label, n)
+			}
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/graph"
 	"repro/internal/obsv"
 	"repro/internal/routing"
 )
@@ -282,22 +283,48 @@ func (o *Optimizer) RunPhase1() *Phase1Result {
 // estimate is replaced by the exact conditional distribution over the
 // recorded acceptable routings: every (pool entry, link) pair is
 // evaluated with the link genuinely removed — the paper's
-// "infinite-weight" limit of its emulation — in parallel. The resulting
-// estimate is final, so Converged is set.
+// "infinite-weight" limit of its emulation — in parallel, on revertible
+// worker sessions unless FullEval is set. The resulting estimate is
+// final, so Converged is set.
 //
 // In emulation mode (the paper-faithful variant kept for the q
 // ablation), it keeps generating failure-like weight perturbations of
 // pooled settings — τ per link per batch — until the criticality
 // rankings converge or the batch budget runs out.
+//
+// Either way the evaluations count into Stats.Evaluations and the
+// phase-1 evaluation counter, under one opt.phase1b root span.
 func (o *Optimizer) TopUpSamples(p1 *Phase1Result) {
-	if o.cfg.ExactPhase1b {
-		o.exactPhase1b(p1)
-		return
-	}
-	if p1.Converged {
+	if !o.cfg.ExactPhase1b && p1.Converged {
 		return
 	}
 	start := time.Now()
+	mm := met.Get()
+	var root *obsv.Span
+	if mm != nil {
+		root = mm.reg.Spans().Start("opt.phase1b")
+	}
+	var evals int
+	if o.cfg.ExactPhase1b {
+		evals = o.exactPhase1b(p1)
+	} else {
+		evals = o.emulatePhase1b(p1)
+	}
+	p1.Stats.Evaluations += evals
+	p1.Stats.Duration += time.Since(start)
+	if mm != nil {
+		mm.p1Evals.Add(int64(evals))
+	}
+	root.SetAttr("entries", int64(len(p1.Pool)))
+	root.SetAttr("links", int64(o.ev.Graph().NumLinks()))
+	root.SetAttr("evals", int64(evals))
+	root.End()
+}
+
+// emulatePhase1b runs emulation-mode sampling batches until the
+// rankings converge or the batch budget runs out, and returns the
+// evaluation count.
+func (o *Optimizer) emulatePhase1b(p1 *Phase1Result) int {
 	cfg := o.cfg
 	m := o.ev.Graph().NumLinks()
 	span := int(int32(cfg.WMax) - o.failLow + 1)
@@ -309,7 +336,7 @@ func (o *Optimizer) TopUpSamples(p1 *Phase1Result) {
 	}
 	tasks := make([]task, 0, cfg.Tau*m)
 	results := make([]cost.Cost, cfg.Tau*m)
-	batches := 0
+	batches, evals := 0, 0
 	for !p1.Converged && (cfg.MaxTopUpBatches == 0 || batches < cfg.MaxTopUpBatches) {
 		batches++
 		tasks = tasks[:0]
@@ -337,35 +364,93 @@ func (o *Optimizer) TopUpSamples(p1 *Phase1Result) {
 		for i, t := range tasks {
 			p1.Sampler.Add(t.link, results[i])
 		}
-		p1.Stats.Evaluations += len(tasks)
+		evals += len(tasks)
 		_, _, p1.Converged = p1.Tracker.Check(p1.Sampler.Estimate(), p1.Sampler.Total())
 	}
-	p1.Stats.Duration += time.Since(start)
+	return evals
 }
 
 // exactPhase1b rebuilds the sampler from true single-link-failure
-// evaluations of every acceptable pool entry.
-func (o *Optimizer) exactPhase1b(p1 *Phase1Result) {
-	start := time.Now()
+// evaluations of every acceptable pool entry and returns the evaluation
+// count. Each (entry, link) pair owns one result slot and the sampler is
+// filled from the slots in ascending order, so the samples do not depend
+// on how the work was spread.
+//
+// By default the failures are probed on incremental sessions (see
+// sessionPhase1b), which the session contract makes bit-identical to
+// the from-scratch EvaluateLinkFailure sweep; that sweep remains the
+// FullEval oracle and the fallback when not even one session fits
+// Config.SessionBudgetBytes.
+func (o *Optimizer) exactPhase1b(p1 *Phase1Result) int {
 	m := o.ev.Graph().NumLinks()
 	entries := p1.Pool
-	sampler := core.NewSampler(m, o.cfg.LeftTailFrac, rand.New(rand.NewSource(o.cfg.Seed+3)))
 	results := make([]cost.Cost, len(entries)*m)
-	parallelWorkers(len(results), func() func(i int) {
-		var r routing.Result
-		return func(i int) {
-			entry, link := i/m, i%m
-			o.ev.EvaluateLinkFailure(entries[entry].W, link, o.cfg.FailBoth, &r)
-			results[i] = r.Cost
-		}
-	})
+	workers := min(int64(runtime.GOMAXPROCS(0)), o.sessionBudget()/o.ev.SessionBytes())
+	if !o.cfg.FullEval && workers > 0 {
+		o.sessionPhase1b(entries, int(workers), results)
+	} else {
+		parallelWorkers(len(results), func() func(i int) {
+			var r routing.Result
+			return func(i int) {
+				entry, link := i/m, i%m
+				o.ev.EvaluateLinkFailure(entries[entry].W, link, o.cfg.FailBoth, &r)
+				results[i] = r.Cost
+			}
+		})
+	}
+	sampler := core.NewSampler(m, o.cfg.LeftTailFrac, rand.New(rand.NewSource(o.cfg.Seed+3)))
 	for i, c := range results {
 		sampler.Add(i%m, c)
 	}
 	p1.Sampler = sampler
 	p1.Converged = true
-	p1.Stats.Evaluations += len(results)
-	p1.Stats.Duration += time.Since(start)
+	return len(results)
+}
+
+// sessionPhase1b fills results[entry*m+link] with the cost of each pool
+// entry under each single-link failure on up to k worker sessions. A
+// worker Inits its session once per pool entry, then for each link
+// takes it down with SetLinkStates (both directions under FailBoth),
+// records the Result and Reverts, so every failure costs a batch repair
+// of the affected destinations instead of a from-scratch evaluation.
+// Pool entries are the tasks; with fewer entries than workers, each
+// entry splits into link blocks so every worker gets one. The sessions
+// stay span-silent, like Phase 2's scenario sessions.
+func (o *Optimizer) sessionPhase1b(entries []PoolEntry, k int, results []cost.Cost) {
+	g := o.ev.Graph()
+	m := g.NumLinks()
+	type task struct{ entry, lo, hi int }
+	blocks := 1
+	if n := len(entries); n > 0 && n < k {
+		blocks = min((k+n-1)/n, m)
+	}
+	size := (m + blocks - 1) / blocks
+	tasks := make([]task, 0, len(entries)*blocks)
+	for e := range entries {
+		for lo := 0; lo < m; lo += size {
+			tasks = append(tasks, task{e, lo, min(lo+size, m)})
+		}
+	}
+	runWorkers(k, len(tasks), func() func(i int) {
+		ses := o.ev.NewSession(graph.NewMask(g), -1)
+		entry := -1
+		down := make([]routing.LinkStateChange, 0, 2)
+		return func(i int) {
+			t := tasks[i]
+			if t.entry != entry {
+				ses.Init(entries[t.entry].W)
+				entry = t.entry
+			}
+			for l := t.lo; l < t.hi; l++ {
+				down = append(down[:0], routing.LinkStateChange{Link: l})
+				if r := g.Link(l).Reverse; o.cfg.FailBoth && r >= 0 {
+					down = append(down, routing.LinkStateChange{Link: r})
+				}
+				results[t.entry*m+l] = ses.SetLinkStates(down).Cost
+				ses.Revert()
+			}
+		}
+	})
 }
 
 // SelectCritical is Phase 1c: estimate criticality from the samples and
@@ -406,10 +491,12 @@ func (o *Optimizer) SelectCriticalWeighted(p1 *Phase1Result, frac float64, probs
 // parallelWorkers runs fn(0..n-1) across GOMAXPROCS workers, giving each
 // worker its own closure state via the maker.
 func parallelWorkers(n int, maker func() func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+	runWorkers(runtime.GOMAXPROCS(0), n, maker)
+}
+
+// runWorkers is parallelWorkers on at most workers workers.
+func runWorkers(workers, n int, maker func() func(i int)) {
+	workers = min(workers, n)
 	if workers <= 1 {
 		fn := maker()
 		for i := 0; i < n; i++ {

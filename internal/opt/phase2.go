@@ -80,9 +80,17 @@ type Phase2Result struct {
 
 // DefaultSessionBudgetBytes is the fallback for
 // Config.SessionBudgetBytes: the per-scenario session caches of the
-// robust search may claim 1 GiB before the search drops back to
-// from-scratch sweeps.
+// robust search, and Phase 1b's worker sessions, may claim 1 GiB before
+// the phase drops back to from-scratch sweeps.
 const DefaultSessionBudgetBytes = 1 << 30
+
+// sessionBudget returns Config.SessionBudgetBytes, or its default.
+func (o *Optimizer) sessionBudget() int64 {
+	if o.cfg.SessionBudgetBytes == 0 {
+		return DefaultSessionBudgetBytes
+	}
+	return o.cfg.SessionBudgetBytes
+}
 
 // phase2Scenario is one scenario of the generalized robust objective: a
 // failure pattern (the mask is owned by the scenario), an optional node
@@ -203,11 +211,7 @@ func (o *Optimizer) runPhase2(p1 *Phase1Result, scens []phase2Scenario) *Phase2R
 		return weighted()
 	}
 
-	budget := cfg.SessionBudgetBytes
-	if budget == 0 {
-		budget = DefaultSessionBudgetBytes
-	}
-	useSessions := !cfg.FullEval && int64(len(scens)+1)*o.ev.SessionBytes() <= budget
+	useSessions := !cfg.FullEval && int64(len(scens)+1)*o.ev.SessionBytes() <= o.sessionBudget()
 	// One root span for the whole phase; only the normal-conditions
 	// session attaches — the scenario sessions fan out one-per-worker and
 	// would flood the span ring with len(scens) records per move.

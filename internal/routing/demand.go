@@ -42,7 +42,7 @@ func (s *Session) SetDemandRebaseThreshold(frac float64) {
 // the matrices are equal), changed columns recompute without a single
 // Dijkstra, and only an update moving most columns pays the full Init
 // rebase. Results are bit-identical to a from-scratch evaluation under
-// the new matrices either way. Any pending Apply undo is cleared; the
+// the new matrices either way. Any pending undo is cleared; the
 // matrices are adopted, not copied, and must not be mutated by the
 // caller afterwards.
 func (s *Session) SetDemands(demD, demT *traffic.Matrix) Result {
@@ -77,8 +77,8 @@ func (s *Session) SetDemands(demD, demT *traffic.Matrix) Result {
 // incrementally re-evaluates: only the destination columns the deltas
 // actually change — entries restating the current value are skipped —
 // recompute their load contributions and Λ subtotals; shortest-path
-// state is provably untouched. Like SetLinkStates, the change commits
-// immediately: any pending Apply undo is cleared and the update cannot
+// state is provably untouched. The change commits immediately: any
+// pending Apply or SetLinkStates undo is cleared and the update cannot
 // itself be reverted (apply the delta's Inverse to undo it). Deltas
 // must validate against the graph's node count (panic otherwise,
 // matching the matrix-size contract); Old values are not checked — the

@@ -50,11 +50,13 @@ type LinkStateChange struct {
 // new Result — the topology half of an online telemetry stream (the
 // other half, demand updates, is SetDemands and ApplyDemandDelta).
 // Repeated links resolve last-wins; flips already in the desired state
-// are ignored, and a batch with no effective flip is a pure no-op. An
-// effective change commits immediately: any pending Apply undo is
-// cleared and the batch cannot itself be reverted. Results are
-// bit-identical to a from-scratch evaluation under the updated mask,
-// and so to applying the effective flips one at a time.
+// are ignored, and a batch with no effective flip is a pure no-op that
+// keeps any pending undo. A batch with an effective flip commits the
+// previous Apply or batch and becomes the revertible update itself:
+// Revert re-flips its links and restores the stashed caches, like an
+// Apply's. Results are bit-identical to a from-scratch evaluation under
+// the updated mask, and so to applying the effective flips one at a
+// time.
 func (s *Session) SetLinkStates(changes []LinkStateChange) Result {
 	if !s.inited {
 		panic("routing: Session.SetLinkStates before Init")
@@ -99,11 +101,13 @@ func (s *Session) SetLinkStates(changes []LinkStateChange) Result {
 		return s.res
 	}
 	s.recycleUndo()
-	s.canRevert = false
-	s.undo.noop = false
+	s.canRevert = true
+	u := &s.undo
+	u.flips = append(u.flips, s.lsChanges...)
 
 	// Flips of links with a dead endpoint change nothing observable;
-	// commit them silently and drop them from the batch.
+	// commit them silently and drop them from the batch (Revert still
+	// re-flips them from u.flips).
 	eff := s.lsChanges[:0]
 	for _, c := range s.lsChanges {
 		if !s.mask.NodeAlive(int(s.linkFrom[c.Link])) || !s.mask.NodeAlive(int(s.linkTo[c.Link])) {
@@ -117,7 +121,8 @@ func (s *Session) SetLinkStates(changes []LinkStateChange) Result {
 		eff = append(eff, c)
 	}
 	s.lsChanges = eff
-	if len(s.lsChanges) == 0 {
+	u.noop = len(s.lsChanges) == 0
+	if u.noop {
 		return s.res
 	}
 
@@ -182,7 +187,6 @@ func (s *Session) SetLinkStates(changes []LinkStateChange) Result {
 	s.chg.kind, s.chg.link = chgBatch, -1
 	csp.End()
 
-	u := &s.undo
 	u.res = s.res
 	u.droppedT = s.droppedT
 	s.recompute(u)

@@ -225,3 +225,193 @@ func TestSetLinkStatesEdgeCases(t *testing.T) {
 	}()
 	uninit.SetLinkStates([]LinkStateChange{{Link: 0, Up: false}})
 }
+
+// TestSetLinkStatesRevert pins the link-batch undo: after every batch —
+// single flips, both-direction pairs, SRLG-sized groups, dead-endpoint
+// flips under a node-failure mask, batches right after a committed
+// Apply — Revert must restore the pre-batch Result, the Mask() link
+// states, and a session whose next Apply or SetLinkStates still matches
+// Evaluator.EvaluateDemands bit for bit. A restating batch is a pure
+// no-op and keeps a pending Apply undo.
+func TestSetLinkStatesRevert(t *testing.T) {
+	cases := []struct {
+		name         string
+		kind         topogen.Kind
+		nodes, links int
+		seed         int64
+		steps        int
+	}{
+		{"rand8", topogen.RandKind, 8, 40, 81, 200},
+		{"isp16", topogen.ISPKind, 0, 0, 82, 120},
+		{"rand100", topogen.RandKind, 100, 500, 83, 40},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			steps := tc.steps
+			if testing.Short() {
+				steps /= 4
+			}
+			ev := sessionTestEvaluator(t, tc.kind, tc.nodes, tc.links, tc.seed)
+			driveLinkRevert(t, ev, -1, steps, tc.seed+100)
+			driveLinkRevert(t, ev, 1, steps, tc.seed+200)
+		})
+	}
+
+	// A nil-mask session acquires a mask on its first failure; Revert
+	// brings it back to all links up and the normal-conditions bits.
+	ev := sessionTestEvaluator(t, topogen.RandKind, 8, 40, 84)
+	w := RandomWeightSetting(ev.Graph().NumLinks(), 20, rand.New(rand.NewSource(85)))
+	s := ev.NewSession(nil, -1)
+	before := s.Init(w)
+	s.SetLinkStates([]LinkStateChange{{Link: 2, Up: false}, {Link: 5, Up: false}})
+	s.Revert()
+	requireSameResult(t, "nil-mask revert", s.Result(), before)
+	if s.Mask().AnyFailure() {
+		t.Fatal("nil-mask revert left a link down")
+	}
+}
+
+// driveLinkRevert runs seeded SetLinkStates→Revert rounds on one
+// session: the normal scenario for skipNode -1, otherwise skipNode's
+// node-failure scenario, whose incident links are dead-endpoint flips.
+// Every round commits one more Apply or batch, so the reverted batches
+// land on changing weights and masks.
+func driveLinkRevert(t *testing.T, ev *Evaluator, skipNode, steps int, seed int64) {
+	t.Helper()
+	g := ev.Graph()
+	m := g.NumLinks()
+	rng := rand.New(rand.NewSource(seed))
+	w := RandomWeightSetting(m, 20, rng)
+	ref := graph.NewMask(g) // the committed scenario
+	nxt := graph.NewMask(g) // ref with the batch under test applied
+	var s *Session
+	if skipNode >= 0 {
+		s = ev.NewNodeFailureSession(skipNode)
+		ref.FailNode(skipNode)
+		nxt.FailNode(skipNode)
+	} else {
+		s = ev.NewSession(graph.NewMask(g), -1)
+	}
+	var incident []int
+	for li := 0; li < m; li++ {
+		if l := g.Link(li); int(l.From) == skipNode || int(l.To) == skipNode {
+			incident = append(incident, li)
+		}
+	}
+	var want Result
+	check := func(step string, mask *graph.Mask, got Result) {
+		t.Helper()
+		ev.EvaluateDemands(w, mask, skipNode, nil, nil, &want)
+		requireSameResult(t, step, got, want)
+	}
+	mirror := func(mask *graph.Mask, chg []LinkStateChange) {
+		for _, c := range chg {
+			if c.Up {
+				mask.ReviveLink(c.Link)
+			} else {
+				mask.FailLink(c.Link)
+			}
+		}
+	}
+	randomBatch := func(k int) []LinkStateChange {
+		chg := make([]LinkStateChange, 0, k)
+		for j := 0; j < k; j++ {
+			chg = append(chg, LinkStateChange{Link: rng.Intn(m), Up: rng.Intn(2) == 0})
+		}
+		return chg
+	}
+	move := func() {
+		l := rng.Intn(m)
+		wd, wt := int32(1+rng.Intn(20)), int32(1+rng.Intn(20))
+		w.Set(l, wd, wt)
+		check("apply", ref, s.Apply(l, wd, wt))
+	}
+
+	check("init", ref, s.Init(w))
+	for i := 0; i < steps; i++ {
+		var chg []LinkStateChange
+		switch shape := rng.Intn(6); shape {
+		case 0: // a single flip
+			li := rng.Intn(m)
+			chg = []LinkStateChange{{Link: li, Up: ref.LinkFailed(li)}}
+		case 1: // both directions of one physical link
+			li := rng.Intn(m)
+			up := rng.Intn(2) == 0
+			chg = []LinkStateChange{{Link: li, Up: up}}
+			if r := g.Link(li).Reverse; r >= 0 {
+				chg = append(chg, LinkStateChange{Link: r, Up: up})
+			}
+		case 2: // an SRLG-sized group tripping or healing together
+			up := rng.Intn(2) == 0
+			for _, li := range rng.Perm(m)[:min(8, m)] {
+				chg = append(chg, LinkStateChange{Link: li, Up: up})
+			}
+		case 3: // dead-endpoint flips, alone or with ordinary flips
+			if len(incident) == 0 {
+				chg = randomBatch(1 + rng.Intn(10))
+				break
+			}
+			for j := 0; j < 1+rng.Intn(3); j++ {
+				chg = append(chg, LinkStateChange{Link: incident[rng.Intn(len(incident))], Up: rng.Intn(2) == 0})
+			}
+			chg = append(chg, randomBatch(rng.Intn(3))...)
+		case 4: // right after a committed Apply
+			move()
+			chg = randomBatch(1 + rng.Intn(10))
+		default: // a random batch with repeats and restating entries
+			chg = randomBatch(1 + rng.Intn(10))
+		}
+
+		for li := 0; li < m; li++ {
+			if ref.LinkFailed(li) {
+				nxt.FailLink(li)
+			} else {
+				nxt.ReviveLink(li)
+			}
+		}
+		mirror(nxt, chg)
+		effective := false
+		for li := 0; li < m && !effective; li++ {
+			effective = nxt.LinkFailed(li) != ref.LinkFailed(li)
+		}
+		if !effective {
+			// Only restating entries: add a toggle so the batch has an
+			// update to revert (pure no-op batches are checked below).
+			li := rng.Intn(m)
+			toggle := LinkStateChange{Link: li, Up: ref.LinkFailed(li)}
+			chg = append(chg, toggle)
+			mirror(nxt, []LinkStateChange{toggle})
+		}
+		check("batch", nxt, s.SetLinkStates(chg))
+		s.Revert()
+		check("revert", ref, s.Result())
+		for li := 0; li < m; li++ {
+			if s.Mask().LinkFailed(li) != ref.LinkFailed(li) {
+				t.Fatalf("step %d: link %d failed=%v after Revert, want %v", i, li, s.Mask().LinkFailed(li), ref.LinkFailed(li))
+			}
+		}
+
+		// A restating batch keeps a pending Apply undo.
+		if rng.Intn(4) == 0 {
+			before := s.Result()
+			l := rng.Intn(m)
+			wd, wt := int32(1+rng.Intn(20)), int32(1+rng.Intn(20))
+			prevD, prevT := w.Set(l, wd, wt)
+			applied := s.Apply(l, wd, wt)
+			li := rng.Intn(m)
+			requireSameResult(t, "restating batch", s.SetLinkStates([]LinkStateChange{{Link: li, Up: !ref.LinkFailed(li)}}), applied)
+			w.Set(l, prevD, prevT)
+			s.Revert()
+			requireSameResult(t, "revert through restating batch", s.Result(), before)
+		}
+
+		// The next update lands on the restored caches.
+		if rng.Intn(2) == 0 {
+			move()
+		} else {
+			chg = randomBatch(1 + rng.Intn(4))
+			mirror(ref, chg)
+			check("next batch", ref, s.SetLinkStates(chg))
+		}
+	}
+}

@@ -26,19 +26,22 @@ import (
 // incremental SPF, spf.State.Repair), revisiting only the vertices
 // whose distance actually moved. Apply then folds the new contributions
 // into the link loads and re-runs the delay DP only for destinations
-// whose DAG changed or crosses a link whose delay value moved. Revert
-// undoes the last Apply exactly.
+// whose DAG changed or crosses a link whose delay value moved.
 //
 // Telemetry has one update per event class. Link events, one flip or
 // many, go through SetLinkStates (see linkbatch.go): one classification
-// and one multi-link repair pass per affected destination. Demand
+// and one multi-link repair pass per affected destination. Revert
+// undoes the last Apply or SetLinkStates exactly, so a session also
+// probes failure scenarios: take links down, read the Result, Revert
+// (Phase 1b's per-link failure costs run this way). Demand
 // updates (SetDemands, ApplyDemandDelta; see demand.go) never touch
 // shortest-path state at all: weights are unchanged, so only the
 // destination columns whose demands moved recompute their load
 // contributions and Λ subtotals, unless the update moves more columns
-// than the rebase threshold and pays a full Init instead. Full
-// Dijkstras remain only where no pre-change snapshot exists: Init and
-// that demand rebase.
+// than the rebase threshold and pays a full Init instead; demand
+// updates, like Init, clear any pending undo. Full Dijkstras remain
+// only where no pre-change snapshot exists: Init and that demand
+// rebase.
 //
 // Every Apply/Init result is bit-identical to what the stateless
 // Evaluator.Evaluate computes for the same weights and scenario: the
@@ -166,13 +169,18 @@ type delayDest struct {
 }
 
 // undoState holds everything needed to restore the session to its exact
-// pre-Apply state.
+// state before the last Apply or SetLinkStates.
 type undoState struct {
+	// Apply: the moved link and its previous class weights.
 	link         int
 	prevD, prevT int32
-	noop         bool
-	res          Result
-	droppedT     float64
+	// SetLinkStates: the committed flips, dead-endpoint flips included.
+	// Revert re-flips them instead of restoring a weight; empty after an
+	// Apply.
+	flips    []LinkStateChange
+	noop     bool
+	res      Result
+	droppedT float64
 
 	affD, affT  []int
 	oldDDest    []delayDest
@@ -371,7 +379,8 @@ func (s *Session) countDestTasks(k, ntasks int) {
 
 // Apply changes link l's class weights to (wd, wt), incrementally
 // re-evaluates, and returns the new Result. Only the most recent Apply
-// can be undone with Revert; a subsequent Apply commits the previous one.
+// or SetLinkStates can be undone with Revert; a subsequent one commits
+// the previous one.
 func (s *Session) Apply(l int, wd, wt int32) Result {
 	if !s.inited {
 		panic("routing: Session.Apply before Init")
@@ -624,16 +633,30 @@ func (s *Session) recompute(u *undoState) {
 	s.res = s.assemble(lambda, phi, violations, disconnected, maxUtil, sumUtil, aliveLinks)
 }
 
-// Revert restores the state before the last Apply exactly. It panics if
-// no Apply is pending (Init, a previous Revert, or a later Apply cleared
-// it).
+// Revert restores the state before the last Apply or SetLinkStates
+// exactly: the weight move or the link flips are undone and every cache
+// gets its stashed bits back. It panics if no update is pending (Init,
+// a demand update, a previous Revert, or a batch with no effective flip
+// after Init cleared it). Only the most recent update is revertible; a
+// subsequent Apply or SetLinkStates commits the previous one.
 func (s *Session) Revert() {
 	if !s.canRevert {
-		panic("routing: Session.Revert without a preceding Apply")
+		panic("routing: Session.Revert without a preceding Apply or SetLinkStates")
 	}
 	s.canRevert = false
 	u := &s.undo
-	s.w.Set(u.link, u.prevD, u.prevT)
+	if len(u.flips) > 0 {
+		for _, c := range u.flips {
+			if c.Up {
+				s.mask.FailLink(c.Link)
+			} else {
+				s.mask.ReviveLink(c.Link)
+			}
+		}
+		u.flips = u.flips[:0]
+	} else {
+		s.w.Set(u.link, u.prevD, u.prevT)
+	}
 	if u.noop {
 		return
 	}
@@ -689,10 +712,11 @@ func (s *Session) assemble(lambda, phi float64, violations, disconnected int, ma
 	return res
 }
 
-// recycleUndo returns the previous Apply's stashed buffers (now committed)
-// to the free lists.
+// recycleUndo returns the previous update's stashed buffers (now
+// committed) to the free lists.
 func (s *Session) recycleUndo() {
 	u := &s.undo
+	u.flips = u.flips[:0]
 	s.freeDest = append(s.freeDest, u.oldDDest...)
 	s.freeStates = append(s.freeStates, u.oldTStates...)
 	s.freeContrib = append(s.freeContrib, u.oldDContrib...)

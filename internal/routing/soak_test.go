@@ -11,8 +11,9 @@ import (
 // driveSoak subjects one session to a long randomized stream of mixed
 // events — weight moves (half immediately reverted), link-down/link-up
 // toggles, batched multi-link events (with duplicate and restating
-// entries), and occasional full rebases — asserting bit-identical
-// equality with the stateless evaluator after every single step. With
+// entries), link-down probes undone by Revert, and occasional full
+// rebases — asserting bit-identical equality with the stateless
+// evaluator after every single step. With
 // the Ramalingam–Reps repair wired into the session, this is the
 // endurance version of the repair equivalence tests: weight repairs,
 // toggle repairs, batch repairs, membership-only fast paths, Revert's
@@ -69,6 +70,22 @@ func driveSoak(t *testing.T, ev *Evaluator, steps int, seed int64, workers int) 
 			}
 			s.SetLinkStates(chg)
 			check("batch")
+		case r < 0.6:
+			// A probe: take a few links down, then Revert to the
+			// committed scenario (ref and down stay as they are).
+			chg := make([]LinkStateChange, 0, 4)
+			for j := 0; j < 1+rng.Intn(4); j++ {
+				chg = append(chg, LinkStateChange{Link: rng.Intn(m), Up: false})
+			}
+			s.SetLinkStates(chg)
+			changed := false
+			for _, c := range chg {
+				changed = changed || !down[c.Link]
+			}
+			if changed {
+				s.Revert()
+			}
+			check("probe revert")
 		case r < 0.95:
 			l := rng.Intn(m)
 			wd := int32(1 + rng.Intn(20))

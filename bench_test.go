@@ -273,8 +273,8 @@ func BenchmarkPhase1Iteration(b *testing.B) {
 }
 
 // Phase 1 from-scratch versus delta-SPF sessions (which repair their
-// SPF snapshots in place on every Dijkstra-required move; see
-// spf/repair.go). The two visit identical moves (bit-identical
+// SPF snapshots in place on every move that can shift distances; see
+// spf/batch.go). The two visit identical moves (bit-identical
 // Solutions; see opt's equivalence tests), so the time ratio
 // Full/Incremental is the incremental engine's speedup and is tracked
 // per-PR in CI. The evals_per_sec metric is the comparable throughput
@@ -400,14 +400,14 @@ func BenchmarkPhase1bFull30(b *testing.B) { benchPhase1b(b, true) }
 
 func BenchmarkPhase1bIncremental30(b *testing.B) { benchPhase1b(b, false) }
 
-// BenchmarkRepairVsDijkstra isolates the tentpole primitive: one
+// BenchmarkRepairVsDijkstra isolates the incremental SPF primitive: one
 // destination's SPF on the Table III 100-node RandTopo maintained
 // through link-down/link-up event pairs, by a fresh Dijkstra per event
-// versus a Ramalingam–Reps repair of the standing state (the
-// single-link reference for the multi-link repair that
-// routing.Session.SetLinkStates and the ctrl.Selector ride). Each
-// iteration is two events; the FullDijkstra/Repair ns/op ratio is the
-// repair's speedup and is tracked per-PR in CI.
+// versus a Ramalingam–Reps repair of the standing state (a one-change
+// spf.RepairBatch, the call every routing.Session weight move and link
+// flip makes per affected destination). Each iteration is two events;
+// the FullDijkstra/Repair ns/op ratio is the repair's speedup and is
+// tracked in CI.
 func BenchmarkRepairVsDijkstra(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g, err := topogen.Generate(topogen.Spec{Kind: topogen.RandKind, Nodes: 100, DirectedLinks: 500}, rng)
@@ -438,14 +438,18 @@ func BenchmarkRepairVsDijkstra(b *testing.B) {
 		ws := spf.NewWorkspace(g)
 		mask := graph.NewMask(g)
 		ws.Run(g, w, dest, mask)
+		down := make([]spf.LinkChange, 1)
+		up := make([]spf.LinkChange, 1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			li := i % m
+			down[0] = spf.LinkChange{Link: li, OldEff: int64(w[li]), NewEff: spf.Inf}
+			up[0] = spf.LinkChange{Link: li, OldEff: spf.Inf, NewEff: int64(w[li])}
 			mask.FailLink(li)
-			ws.RepairLinkDown(g, w, li, mask)
+			ws.RepairBatch(g, w, down, mask)
 			mask.ReviveLink(li)
-			ws.RepairLinkUp(g, w, li, mask)
+			ws.RepairBatch(g, w, up, mask)
 		}
 	})
 }

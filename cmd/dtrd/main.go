@@ -34,6 +34,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -118,10 +119,25 @@ func defineFlags(fs *flag.FlagSet) *options {
 	return o
 }
 
-func main() {
-	fs := flag.NewFlagSet("dtrd", flag.ExitOnError)
+// parseFlags parses args into dtrd's options and resolves -workers to
+// the recompute worker count of every session, library builds and
+// serving alike: values <= 0 mean GOMAXPROCS, as in dtropt.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	o := defineFlags(fs)
-	fs.Parse(os.Args[1:])
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if o.workers <= 0 {
+		o.workers = runtime.GOMAXPROCS(0)
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(flag.NewFlagSet("dtrd", flag.ExitOnError), os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
 
 	// Install the daemon registry before any engine object exists so the
 	// library builds, replay and serving all record into it.
@@ -154,10 +170,6 @@ func main() {
 		days[i] = day
 	}
 
-	workers := o.workers
-	if workers == 0 {
-		workers = -1 // dtrd's 0 means GOMAXPROCS; FleetOptions uses <0 for that
-	}
 	fleet, err := repro.NewFleet(fleetMembers, repro.FleetOptions{
 		CheckpointDir:      o.checkpointDir,
 		CheckpointInterval: o.checkpointInterval,
@@ -166,7 +178,7 @@ func main() {
 			MaxBatch:   o.intakeBatch,
 			RetryAfter: o.intakeRetry,
 		},
-		Workers: workers,
+		Workers: o.workers,
 	})
 	if err != nil {
 		fatal(err)

@@ -186,7 +186,7 @@ func TestServerEndpoints(t *testing.T) {
 		// fresh-Dijkstra counts, the session event-class mix, per-event-
 		// class controller latencies, and per-path HTTP latencies.
 		"spf_runs_total",
-		`spf_repairs_total{path="increase"}`,
+		`spf_repairs_total{path="batch"}`,
 		`routing_session_dests_total{class="repair"}`,
 		`routing_session_dests_total{class="dag_only"}`,
 		`ctrl_observe_seconds_bucket{class="link",le="+Inf"}`,

@@ -9,7 +9,7 @@ import (
 // FlightRecord is one captured anomaly: the update or decision that
 // tripped the recorder, why, and the complete span tree of its trace so
 // post-hoc debugging needs no reproduction. Counts such as affected
-// destinations and the repair-mode breakdown travel as span attributes
+// destinations and the SPF-work breakdown travel as span attributes
 // inside Spans.
 type FlightRecord struct {
 	Seq      uint64        `json:"seq"`

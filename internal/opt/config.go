@@ -85,8 +85,9 @@ type Config struct {
 	// FullEval disables the incremental evaluation engine: every move in
 	// the Phase 1/Phase 2 inner loops, and every exact Phase 1b link
 	// removal, is evaluated from scratch instead of through delta-SPF
-	// sessions (which themselves repair affected SPF snapshots in place
-	// rather than re-running Dijkstra; see spf/repair.go). The two modes
+	// sessions (which repair affected SPF snapshots in place with one
+	// spf.RepairBatch per destination, weight moves and link removals
+	// alike, rather than re-running Dijkstra). The two modes
 	// visit the same moves with the same RNG stream and produce
 	// bit-identical Solutions (the sessions' contract, see
 	// routing.Session); FullEval exists as the oracle for equivalence

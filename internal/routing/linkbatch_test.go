@@ -2,10 +2,14 @@ package routing
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/spf"
 	"repro/internal/topogen"
+	"repro/internal/traffic"
 )
 
 // TestSetLinkStatesMatchesEvaluator drives a session through random
@@ -414,4 +418,99 @@ func driveLinkRevert(t *testing.T, ev *Evaluator, skipNode, steps int, seed int6
 			check("next batch", ref, s.SetLinkStates(chg))
 		}
 	}
+}
+
+// TestQuickUnaffectedMeansIdentical is the soundness property the
+// incremental engine rests on, checked on the session's one classifier
+// for one-change weight moves (on any link, down ones included) and for
+// flip batches: a destination it leaves untouched keeps bit-identical
+// distances and load contribution under a fresh run of the changed
+// scenario, and a DAG-only destination keeps bit-identical distances.
+func TestQuickUnaffectedMeansIdentical(t *testing.T) {
+	evs := []*Evaluator{
+		sessionTestEvaluator(t, topogen.RandKind, 8, 40, 91),
+		sessionTestEvaluator(t, topogen.RandKind, 12, 60, 92),
+		sessionTestEvaluator(t, topogen.ISPKind, 0, 0, 93),
+	}
+	var untouched, dagOnly int
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ev := evs[rng.Intn(len(evs))]
+		g := ev.Graph()
+		n, m := g.NumNodes(), g.NumLinks()
+		w := RandomWeightSetting(m, 20, rng)
+		before, after := graph.NewMask(g), graph.NewMask(g)
+		for k := rng.Intn(4); k > 0; k-- {
+			li := rng.Intn(m)
+			before.FailLink(li)
+			after.FailLink(li)
+		}
+		s := ev.NewSession(before, -1)
+		s.Init(w)
+
+		// Describe the change as the session would and classify it
+		// against the unchanged session; w2 and after are the changed
+		// scenario.
+		w2 := w.Clone()
+		s.batchD, s.batchT = s.batchD[:0], s.batchT[:0]
+		if rng.Intn(2) == 0 {
+			l := rng.Intn(m)
+			wd, wt := int32(1+rng.Intn(20)), int32(1+rng.Intn(20))
+			s.batchD = append(s.batchD, spf.LinkChange{Link: l, OldEff: int64(w.Delay[l]), NewEff: int64(wd)})
+			s.batchT = append(s.batchT, spf.LinkChange{Link: l, OldEff: int64(w.Throughput[l]), NewEff: int64(wt)})
+			w2.Set(l, wd, wt)
+		} else {
+			for _, li := range rng.Perm(m)[:1+rng.Intn(4)] {
+				c := LinkStateChange{Link: li, Up: before.LinkFailed(li)}
+				s.batchD = append(s.batchD, flipChange(c, w.Delay[li]))
+				s.batchT = append(s.batchT, flipChange(c, w.Throughput[li]))
+				if c.Up {
+					after.ReviveLink(li)
+				} else {
+					after.FailLink(li)
+				}
+			}
+		}
+		s.classify()
+
+		ws := spf.NewWorkspace(g)
+		col := make([]float64, n)
+		contrib := make([]float64, m)
+		// sound checks one class for destination t: wc and dem are the
+		// class's changed weights and demands, st and cached the
+		// session's snapshot and load contribution.
+		sound := func(t int, wc []int32, dem *traffic.Matrix, st *spf.State, cached []float64, aff, dag []int) bool {
+			if slices.Contains(aff, t) {
+				return true // repaired: nothing is claimed
+			}
+			ws.Run(g, wc, t, after)
+			for v := 0; v < n; v++ {
+				if ws.Dist(v) != st.Dist[v] {
+					return false
+				}
+			}
+			if slices.Contains(dag, t) {
+				dagOnly++
+				return true // only the distances are claimed
+			}
+			untouched++
+			demandColumn(dem, t, -1, col)
+			ws.AccumulateLoadsInto(g, wc, col, after, contrib)
+			return slices.Equal(contrib, cached)
+		}
+		for t := 0; t < n; t++ {
+			if !sound(t, w2.Delay, s.demD, &s.dDest[t].state, s.dContrib[t], s.affD, s.dagD) ||
+				!sound(t, w2.Throughput, s.demT, &s.tStates[t], s.tContrib[t], s.affT, s.dagT) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	if untouched == 0 || dagOnly == 0 {
+		t.Fatalf("vacuous run: %d untouched and %d DAG-only destinations checked", untouched, dagOnly)
+	}
+	t.Logf("checked %d untouched and %d DAG-only destination classes", untouched, dagOnly)
 }

@@ -280,13 +280,7 @@ func (s *Session) destTaskRun(i int, wk *sesWorker) {
 		old := &u.oldDDest[tk.oldIdx]
 		dc.state.CopyFrom(&old.state)
 		if tk.kind == taskDelayFull {
-			st := &dc.state
-			switch s.chg.kind {
-			case chgWeight:
-				st.Repair(wk.ws, g, s.w.Delay, s.chg.link, s.chg.oldD, s.w.Delay[s.chg.link], s.mask)
-			case chgBatch:
-				st.RepairBatch(wk.ws, g, s.w.Delay, s.batchD, s.mask)
-			}
+			dc.state.RepairBatch(wk.ws, g, s.w.Delay, s.batchD, s.mask)
 		}
 		s.buildDAG(dc)
 		nc := s.dContrib[t]
@@ -301,12 +295,7 @@ func (s *Session) destTaskRun(i int, wk *sesWorker) {
 			// so repair the snapshot inside it: restore the pre-change
 			// state, repair in place, save the result.
 			wk.ws.Restore(&u.oldTStates[tk.oldIdx])
-			switch s.chg.kind {
-			case chgWeight:
-				wk.ws.Repair(g, s.w.Throughput, s.chg.link, s.chg.oldT, s.w.Throughput[s.chg.link], s.mask)
-			case chgBatch:
-				wk.ws.RepairBatch(g, s.w.Throughput, s.batchT, s.mask)
-			}
+			wk.ws.RepairBatch(g, s.w.Throughput, s.batchT, s.mask)
 			wk.ws.Save(&s.tStates[t])
 		} else {
 			s.tStates[t].CopyFrom(&u.oldTStates[tk.oldIdx])

@@ -18,22 +18,22 @@ import (
 //   - the per-link load/delay/utilization aggregates, and
 //   - each destination's Λ subtotal, violation and disconnection counts.
 //
-// Apply(l, wd, wt) touches shortest-path state only for destinations
-// whose distances a change can reach (classifyDelay/classifyThroughput;
-// membership-only changes refresh the DAG and ECMP split without
-// touching distances), and even those destinations are not re-solved
-// from scratch: their snapshots are repaired in place (Ramalingam–Reps
-// incremental SPF, spf.State.Repair), revisiting only the vertices
-// whose distance actually moved. Apply then folds the new contributions
-// into the link loads and re-runs the delay DP only for destinations
-// whose DAG changed or crosses a link whose delay value moved.
+// Both link updates — a weight move (Apply) and a set of link flips
+// (SetLinkStates) — describe their change as spf.LinkChange batches, one
+// per class, and share one path (see linkbatch.go): a classifier sorts
+// the destinations against the pre-change snapshots, touching
+// shortest-path state only where distances can move (membership-only
+// changes refresh the DAG and ECMP split without touching distances),
+// and even those destinations are not re-solved from scratch: their
+// snapshots are repaired in place (Ramalingam–Reps incremental SPF,
+// spf.State.RepairBatch), revisiting only the vertices whose distance
+// actually moved. recompute then folds the new contributions into the
+// link loads and re-runs the delay DP only for destinations whose DAG
+// changed or crosses a link whose delay value moved.
 //
-// Telemetry has one update per event class. Link events, one flip or
-// many, go through SetLinkStates (see linkbatch.go): one classification
-// and one multi-link repair pass per affected destination. Revert
-// undoes the last Apply or SetLinkStates exactly, so a session also
-// probes failure scenarios: take links down, read the Result, Revert
-// (Phase 1b's per-link failure costs run this way). Demand
+// Revert undoes the last Apply or SetLinkStates exactly, so a session
+// also probes failure scenarios: take links down, read the Result,
+// Revert (Phase 1b's per-link failure costs run this way). Demand
 // updates (SetDemands, ApplyDemandDelta; see demand.go) never touch
 // shortest-path state at all: weights are unchanged, so only the
 // destination columns whose demands moved recompute their load
@@ -115,11 +115,14 @@ type Session struct {
 	pr      parRun
 	parGo   func() // parBody pre-bound once, so spawns allocate nothing
 
-	// Batched link events (SetLinkStates; see linkbatch.go).
-	lsChanges      []LinkStateChange // effective flips, deduplicated
-	lsMark         []int32           // this epoch: link goes down in the batch
-	lsEpoch        int32
-	batchD, batchT []spf.LinkChange // the batch in each class's weights
+	// The pending link change of an Apply or SetLinkStates (see
+	// linkbatch.go): the change in each class's effective weights, which
+	// the classifier reads against the pre-change state and the region-1
+	// repairs apply, plus per-class marks of the links it raises.
+	lsChanges        []LinkStateChange // effective flips, deduplicated
+	batchD, batchT   []spf.LinkChange
+	raisedD, raisedT []int32 // this epoch: link raised (or failed) in the class
+	raiseEpoch       int32
 
 	// Span tracing (see span.go). spanTrace == 0 (the default) keeps the
 	// session span-silent; spRoot is the open update root span and
@@ -135,31 +138,13 @@ type Session struct {
 	freeContrib [][]float64
 	canRevert   bool
 	inited      bool
-
-	// chg describes the link event driving the current recompute, so
-	// Dijkstra-required destinations can repair their snapshots
-	// (spf.State.Repair / State.RepairBatch) instead of re-running
-	// Dijkstra. Init rebases from scratch and demand updates classify
-	// every touched destination as DAG-only, so neither sets it.
-	// chgBatch takes the link set from batchD/batchT.
-	chg struct {
-		kind       int // chgWeight or chgBatch
-		link       int
-		oldD, oldT int32 // pre-move class weights (chgWeight only)
-	}
 }
-
-// Kinds of link change a recompute can repair from.
-const (
-	chgWeight = iota
-	chgBatch
-)
 
 // delayDest is one destination's delay-class cache: the SPF snapshot plus
 // the materialized ECMP DAG out-adjacency (dagLinks[dagOff[u]:dagOff[u+1]]
 // lists node u's on-DAG out-links in adjacency order). The adjacency is
 // valid exactly as long as the snapshot is — DAG membership of every link
-// is invariant for destinations AffectedBy reports untouched — and lets
+// is invariant for destinations the classifier leaves untouched — and lets
 // the delay DP skip the per-out-link membership recomputation that
 // dominates its cost.
 type delayDest struct {
@@ -230,7 +215,8 @@ func (e *Evaluator) NewSession(mask *graph.Mask, skipNode int) *Session {
 		linkMark:   make([]int32, m),
 		needDP:     make([]bool, n),
 		colMark:    make([]int32, n),
-		lsMark:     make([]int32, m),
+		raisedD:    make([]int32, m),
+		raisedT:    make([]int32, m),
 		parK:       1,
 		rebaseFrac: demandRebaseFracDefault,
 	}
@@ -390,31 +376,16 @@ func (s *Session) Apply(l int, wd, wt int32) Result {
 	}
 	sp := s.beginUpdateSpan("session.weight")
 	sp.SetAttr("link", int64(l))
-	n := s.e.g.NumNodes()
 	s.recycleUndo()
 	u := &s.undo
 
+	// The move is a one-change batch per class, classified against the
+	// pre-move snapshots.
 	oldD, oldT := s.w.Delay[l], s.w.Throughput[l]
 	csp := sp.Child("session.classify")
-	s.affD, s.dagD = s.affD[:0], s.dagD[:0]
-	s.affT, s.dagT = s.affT[:0], s.dagT[:0]
-	for t := 0; t < n; t++ {
-		if !s.alive(t) {
-			continue
-		}
-		switch s.classifyDelay(t, l, oldD, wd) {
-		case affectFull:
-			s.affD = append(s.affD, t)
-		case affectDAGOnly:
-			s.dagD = append(s.dagD, t)
-		}
-		switch s.classifyThroughput(t, l, oldT, wt) {
-		case affectFull:
-			s.affT = append(s.affT, t)
-		case affectDAGOnly:
-			s.dagT = append(s.dagT, t)
-		}
-	}
+	s.batchD = append(s.batchD[:0], spf.LinkChange{Link: l, OldEff: int64(oldD), NewEff: int64(wd)})
+	s.batchT = append(s.batchT[:0], spf.LinkChange{Link: l, OldEff: int64(oldT), NewEff: int64(wt)})
+	s.classify()
 	csp.End()
 
 	u.link, u.prevD, u.prevT = l, oldD, oldT
@@ -422,7 +393,6 @@ func (s *Session) Apply(l int, wd, wt int32) Result {
 	u.droppedT = s.droppedT
 	s.w.Set(l, wd, wt)
 	s.canRevert = true
-	s.chg.kind, s.chg.link, s.chg.oldD, s.chg.oldT = chgWeight, l, oldD, oldT
 
 	if len(s.affD)+len(s.dagD) == 0 && len(s.affT)+len(s.dagT) == 0 {
 		// No destination's routing can change in either class, so loads,
@@ -439,13 +409,13 @@ func (s *Session) Apply(l int, wd, wt int32) Result {
 }
 
 // recompute re-evaluates the session after the affected destinations of
-// each class have been classified into s.affD/s.dagD (delay: fresh
-// Dijkstra vs DAG-only refresh) and s.affT/s.dagT (throughput), stashing
+// each class have been classified into s.affD/s.dagD (delay: SPF repair
+// vs DAG-only refresh) and s.affT/s.dagT (throughput), stashing
 // everything it overwrites into u so Revert can restore it. It is the
-// shared tail of Apply (weight moves), SetLinkStates (topology moves)
-// and the per-column demand refresh; the caller must already have
-// committed the triggering change (weights, mask or matrices) to the
-// session.
+// shared tail of the link updates (Apply and SetLinkStates, whose
+// repairs apply s.batchD/s.batchT) and the per-column demand refresh;
+// the caller must already have committed the triggering change
+// (weights, mask or matrices) to the session.
 func (s *Session) recompute(u *undoState) {
 	if m := met.Get(); m != nil {
 		m.destsRepair.Add(int64(len(s.affD) + len(s.affT)))
@@ -502,11 +472,12 @@ func (s *Session) recompute(u *undoState) {
 		s.tasks = append(s.tasks, destTask{t: int32(t), oldIdx: int32(base + j), kind: taskThruDAG})
 	}
 
-	// Region 1: refresh the affected destinations. Dijkstra-required
-	// recomputes repair the pre-change snapshot (Ramalingam–Reps; see
-	// spf/repair.go and spf/batch.go for the multi-link form);
+	// Region 1: refresh the affected destinations. Destinations whose
+	// distances can move repair the pre-change snapshot with the pending
+	// link change (s.batchD/s.batchT; Ramalingam–Reps, see spf/batch.go);
 	// membership-only ones keep the (provably unchanged) distances and
-	// just refresh the DAG and the ECMP load split. Each task touches
+	// just refresh the DAG and the ECMP load split. Demand updates only
+	// produce the latter, so they need no link change. Each task touches
 	// only its destination's slots; changed-link candidates go to
 	// per-worker lists.
 	s.beginPar()
@@ -520,10 +491,7 @@ func (s *Session) recompute(u *undoState) {
 	s.countDestTasks(s.runRegion(regionDests, len(s.tasks)), len(s.tasks))
 	if root != nil {
 		d := s.workerStats().Sub(spfBase)
-		root.SetAttr("repair_increase", int64(d.Increase))
-		root.SetAttr("repair_decrease", int64(d.Decrease))
 		root.SetAttr("repair_batch", int64(d.Batch))
-		root.SetAttr("repair_noop", int64(d.Noop))
 		root.SetAttr("spf_runs", int64(d.Runs))
 		root.SetAttr("changed_nodes", int64(d.ChangedNodes))
 	}
@@ -744,70 +712,6 @@ func (s *Session) newDest() delayDest {
 		return d
 	}
 	return delayDest{}
-}
-
-// Session-internal affect classification, spf.State.Classify with the
-// AffectLeaveDAG case resolved.
-const (
-	affectNone    = iota // distances and DAG both provably unchanged
-	affectDAGOnly        // distances unchanged; ECMP membership toggles
-	affectFull           // distances can change: fresh Dijkstra required
-)
-
-// classifyDelay classifies a weight change on link li for destination t's
-// delay-class cache (spf.State.Classify holds the distance arithmetic).
-// The membership-only cases — a decrease landing exactly on a distance
-// tie (the link joins the DAG), or an increase on a DAG link whose tail
-// keeps at least one other tight successor (the link leaves it) —
-// provably preserve every node's distance: any shortest path through the
-// link can be re-routed at its tail for the same total weight. They skip
-// Dijkstra and only refresh the DAG and load split.
-func (s *Session) classifyDelay(t, li int, oldW, newW int32) int {
-	dc := &s.dDest[t]
-	switch dc.state.Classify(s.e.g, li, oldW, newW, s.mask) {
-	case spf.AffectNone:
-		return affectNone
-	case spf.AffectJoinDAG:
-		return affectDAGOnly
-	case spf.AffectLeaveDAG:
-		// The cached adjacency gives the tail's ECMP out-degree in O(1).
-		u := s.linkFrom[li]
-		if dc.dagOff[u+1]-dc.dagOff[u] >= 2 {
-			return affectDAGOnly
-		}
-		return affectFull
-	default:
-		return affectFull
-	}
-}
-
-// classifyThroughput is classifyDelay for the throughput class. With no
-// cached adjacency, the leave-DAG case counts the tail's tight successors
-// by scanning its out-links — the O(degree) bound of the affected test.
-func (s *Session) classifyThroughput(t, li int, oldW, newW int32) int {
-	st := &s.tStates[t]
-	switch st.Classify(s.e.g, li, oldW, newW, s.mask) {
-	case spf.AffectNone:
-		return affectNone
-	case spf.AffectJoinDAG:
-		return affectDAGOnly
-	case spf.AffectLeaveDAG:
-		dist := st.Dist
-		u := s.linkFrom[li]
-		du := dist[u]
-		k := 0
-		for _, lj := range s.e.g.OutLinks(int(u)) {
-			dvj := dist[s.linkTo[lj]]
-			if dvj < spf.Inf && du == dvj+int64(s.w.Throughput[lj]) && s.mask.LinkAlive(int(lj)) {
-				if k++; k >= 2 {
-					return affectDAGOnly
-				}
-			}
-		}
-		return affectFull
-	default:
-		return affectFull
-	}
 }
 
 // accumulateDelayLoads is spf's AccumulateLoadsInto over the cached DAG

@@ -9,7 +9,9 @@ import (
 )
 
 // driveSoak subjects one session to a long randomized stream of mixed
-// events — weight moves (half immediately reverted), link-down/link-up
+// events — weight moves (half immediately reverted; some on links that
+// are down, some raising one class's weight while lowering the
+// other's), link-down/link-up
 // toggles, batched multi-link events (with duplicate and restating
 // entries), link-down probes undone by Revert, and occasional full
 // rebases — asserting bit-identical equality with the stateless
@@ -90,6 +92,26 @@ func driveSoak(t *testing.T, ev *Evaluator, steps int, seed int64, workers int) 
 			l := rng.Intn(m)
 			wd := int32(1 + rng.Intn(20))
 			wt := int32(1 + rng.Intn(20))
+			switch rng.Intn(4) {
+			case 0:
+				// A move on a link that is down: it touches nothing
+				// until the link comes back.
+				for _, li := range rng.Perm(m) {
+					if down[li] {
+						l = li
+						break
+					}
+				}
+			case 1:
+				// Raise one class's weight while lowering the other's.
+				wd, wt = w.Delay[l]+1+int32(rng.Intn(5)), w.Throughput[l]-1-int32(rng.Intn(5))
+				if wt < 1 {
+					wd, wt = w.Delay[l]-1, w.Throughput[l]+1+int32(rng.Intn(5))
+				}
+				if wd < 1 {
+					wd = w.Delay[l] // both weights at 1: raise throughput only
+				}
+			}
 			prevD, prevT := w.Set(l, wd, wt)
 			s.Apply(l, wd, wt)
 			check("apply")

@@ -3,7 +3,7 @@ package routing
 // Session span tracing: when a caller (the selector, an optimizer
 // phase) hands the session a trace context, every update — weight move,
 // link flip, batch, demand refresh, rebase — records a root span with
-// its classification outcome and repair-mode breakdown, region child
+// its classification outcome and SPF-work breakdown, region child
 // spans for the three parallel recompute regions, and per-worker task
 // spans, all into the registry's span recorder. With no context set
 // (spanTrace == 0, the default — e.g. the migration planner's private
@@ -57,7 +57,7 @@ func (s *Session) endUpdateSpan(sp *obsv.Span) {
 // workerStats sums the cumulative SPF repair counters across the
 // session's current workers. Called serially between parallel regions,
 // while all workers are idle; diffing two sums around region 1 yields
-// the repair-mode breakdown of one update.
+// the SPF work (repairs, fresh runs, changed nodes) of one update.
 func (s *Session) workerStats() spf.RepairStats {
 	var sum spf.RepairStats
 	for _, wk := range s.workers {

@@ -77,23 +77,23 @@ func TestSessionUpdateSpanTree(t *testing.T) {
 	if len(idx["session.classify"]) != 1 {
 		t.Fatalf("want 1 classify child, got %d", len(idx["session.classify"]))
 	}
-	// Repair-mode breakdown lands on the root when destinations moved.
+	// The SPF-work breakdown lands on the root when destinations moved.
 	n, ok := root.Attr("dests_repair")
 	if !ok {
 		t.Fatal("session.weight missing dests_repair attr")
 	}
-	var modes int64
-	for _, key := range []string{"repair_increase", "repair_decrease", "repair_batch", "repair_noop"} {
-		v, ok := root.Attr(key)
-		if !ok {
+	for _, key := range []string{"repair_batch", "spf_runs", "changed_nodes"} {
+		if _, ok := root.Attr(key); !ok {
 			t.Fatalf("session.weight missing %s attr", key)
 		}
-		modes += v
 	}
-	// Each full-repair destination runs one incremental repair per class
-	// touched (never a full Dijkstra — spf_runs counts those separately).
-	if n > 0 && modes == 0 {
-		t.Fatalf("dests_repair=%d but no repair-mode counts", n)
+	// Each full-repair destination runs exactly one incremental repair
+	// (never a full Dijkstra).
+	if repairs, _ := root.Attr("repair_batch"); repairs != n {
+		t.Fatalf("dests_repair=%d but repair_batch=%d", n, repairs)
+	}
+	if runs, _ := root.Attr("spf_runs"); runs != 0 {
+		t.Fatalf("spf_runs=%d on a weight move, want 0", runs)
 	}
 	// Every span's parent must exist inside the trace (connected tree).
 	ids := map[uint64]bool{outer.ID(): true}

@@ -4,147 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/graph"
 )
-
-func TestAffectedByBasicCases(t *testing.T) {
-	g := diamond()
-	w := equalWeights(g, 1)
-	ws := NewWorkspace(g)
-	ws.Run(g, w, 3, nil)
-	var st State
-	ws.Save(&st)
-
-	// Unchanged weight never affects.
-	if st.AffectedBy(g, 0, 1, 1, nil) {
-		t.Error("no-op weight change reported as affecting")
-	}
-	// Increasing a DAG link (0->1 is on the DAG toward 3) affects.
-	if !st.AffectedBy(g, 0, 1, 5, nil) {
-		t.Error("increase on a DAG link must affect")
-	}
-	// Decreasing a reverse-direction link (3->1, never toward 3) cannot:
-	// its head's distance is 1, so 1+1=2 > dist(3)=0... use link 5 (3->1):
-	// dist(From=3)=0, newW+dist(To=1) = 1+1 = 2 > 0.
-	if st.AffectedBy(g, 5, 1, 1, nil) {
-		t.Error("no-op on reverse link reported as affecting")
-	}
-
-	// Make the upper path expensive so it leaves the DAG, then check that
-	// increasing it further does not affect, while decreasing it back to a
-	// tie does.
-	w[0] = 10
-	ws.Run(g, w, 3, nil)
-	ws.Save(&st)
-	if st.AffectedBy(g, 0, 10, 15, nil) {
-		t.Error("increase on a non-DAG link must not affect")
-	}
-	if !st.AffectedBy(g, 0, 10, 1, nil) {
-		t.Error("decrease that rejoins the DAG must affect")
-	}
-}
-
-func TestAffectedByDeadLinkAndDeadDest(t *testing.T) {
-	g := diamond()
-	w := equalWeights(g, 1)
-	m := graph.NewMask(g)
-	m.FailLink(0)
-	ws := NewWorkspace(g)
-	ws.Run(g, w, 3, m)
-	var st State
-	ws.Save(&st)
-	if st.AffectedBy(g, 0, 1, 20, m) {
-		t.Error("dead link weight change reported as affecting")
-	}
-
-	m.Reset()
-	m.FailNode(3)
-	ws.Run(g, w, 3, m)
-	ws.Save(&st)
-	for li := 0; li < g.NumLinks(); li++ {
-		if st.AffectedBy(g, li, 1, 7, m) {
-			t.Errorf("dead destination: link %d reported as affecting", li)
-		}
-	}
-}
-
-func TestLinkOnDAGMatchesWorkspace(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g, w := randGraph(r)
-		dest := r.Intn(g.NumNodes())
-		ws := NewWorkspace(g)
-		ws.Run(g, w, dest, nil)
-		var st State
-		ws.Save(&st)
-		for li := 0; li < g.NumLinks(); li++ {
-			if st.LinkOnDAG(g, w[li], li, nil) != ws.OnDAG(g, w, li, nil) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickUnaffectedMeansIdentical is the soundness property the whole
-// incremental engine rests on: when AffectedBy returns false for a weight
-// change, a fresh Dijkstra under the new weights yields bit-identical
-// distances AND a bit-identical per-link load contribution.
-func TestQuickUnaffectedMeansIdentical(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g, w := randGraph(r)
-		n := g.NumNodes()
-		dest := r.Intn(n)
-		dem := make([]float64, n)
-		for i := range dem {
-			if i != dest {
-				dem[i] = r.Float64() * 10
-			}
-		}
-		ws := NewWorkspace(g)
-		ws.Run(g, w, dest, nil)
-		var st State
-		ws.Save(&st)
-		before := make([]float64, g.NumLinks())
-		ws.AccumulateLoadsInto(g, w, dem, nil, before)
-
-		// Try several random single-link changes; verify the unaffected
-		// ones.
-		after := make([]float64, g.NumLinks())
-		for trial := 0; trial < 10; trial++ {
-			li := r.Intn(g.NumLinks())
-			oldW := w[li]
-			newW := int32(1 + r.Intn(20))
-			if st.AffectedBy(g, li, oldW, newW, nil) {
-				continue
-			}
-			w[li] = newW
-			ws.Run(g, w, dest, nil)
-			for v := 0; v < n; v++ {
-				if ws.dist[v] != st.Dist[v] {
-					return false
-				}
-			}
-			ws.AccumulateLoadsInto(g, w, dem, nil, after)
-			for i := range after {
-				if after[i] != before[i] {
-					return false
-				}
-			}
-			w[li] = oldW
-			ws.Restore(&st)
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
 
 // TestQuickAccumulateTieOrderInvariance checks the canonical (pull-based)
 // accumulation directly: loads computed off a cached snapshot equal loads

@@ -5,30 +5,21 @@ import "repro/internal/obsv"
 // metrics is the package's handle bundle against the default obsv
 // registry; met.Get() is nil (one atomic load) while telemetry is off.
 type metrics struct {
-	runs           *obsv.Counter
-	repairIncrease *obsv.Counter
-	repairDecrease *obsv.Counter
-	repairNoop     *obsv.Counter
-	repairBatch    *obsv.Counter
-	changedNodes   *obsv.Histogram
-	batchLinks     *obsv.Histogram
+	runs         *obsv.Counter
+	repairBatch  *obsv.Counter
+	changedNodes *obsv.Histogram
+	batchLinks   *obsv.Histogram
 }
 
 var met = obsv.NewView(func(r *obsv.Registry) *metrics {
 	return &metrics{
 		runs: r.Counter("spf_runs_total",
 			"Fresh full Dijkstra computations."),
-		repairIncrease: r.Counter("spf_repairs_total",
-			"Incremental SPF repairs by path taken.", obsv.L("path", "increase")),
-		repairDecrease: r.Counter("spf_repairs_total",
-			"Incremental SPF repairs by path taken.", obsv.L("path", "decrease")),
-		repairNoop: r.Counter("spf_repairs_total",
-			"Incremental SPF repairs by path taken.", obsv.L("path", "noop")),
 		repairBatch: r.Counter("spf_repairs_total",
-			"Incremental SPF repairs by path taken.", obsv.L("path", "batch")),
+			"Incremental SPF repairs.", obsv.L("path", "batch")),
 		changedNodes: r.Histogram("spf_repair_changed_nodes",
-			"Nodes whose distance changed per effective repair.", obsv.SizeBuckets),
+			"Nodes whose distance changed per effective repair phase.", obsv.SizeBuckets),
 		batchLinks: r.Histogram("spf_repair_batch_links",
-			"Effective link changes per multi-link batch repair.", obsv.SizeBuckets),
+			"Effective link changes per repair.", obsv.SizeBuckets),
 	}
 })

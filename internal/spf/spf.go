@@ -43,27 +43,28 @@ type Workspace struct {
 	// DAG-membership tests avoid copying whole Link structs.
 	lfrom, lto []int32
 
-	// Repair scratch (see repair.go). The epoch-marked arrays never need
+	// Repair scratch (see batch.go). The epoch-marked arrays never need
 	// clearing between repairs; cand holds tentative distances for the
-	// affected set of an increase repair.
+	// affected set of an increase phase.
 	cand      []int64
 	aMark     []int32 // this epoch: node's distance changed (or joined the affected set)
 	qMark     []int32 // this epoch: node queued as an affected-set candidate
 	repEpoch  int32
-	affList   []int32 // affected set of the current increase repair
-	chgSorted []int32 // changed nodes, ascending by new distance
-	order2    []int32 // scratch for the merged settled order
+	affList   []int32      // affected set of the current increase phase
+	chgSorted []int32      // changed nodes, ascending by new distance
+	order2    []int32      // scratch for the merged settled order
+	kept      []LinkChange // the current repair's effective changes
 
-	// Batch-repair scratch (see batch.go): per-link epoch marks giving
-	// O(1) mid-state effective weights during the increase phase of a
-	// multi-link repair.
+	// Per-link epoch marks giving O(1) mid-state effective weights
+	// during the increase phase of a repair that also lowers or restores
+	// links (see batch.go).
 	batchOld     []int64 // old effective weight of a decreased link
 	batchOldMark []int32 // this epoch: batchOld[li] overrides w[li]
 	batchUpMark  []int32 // this epoch: link newly up (dead at the mid state)
 	batchEpoch   int32
 
 	// Cumulative work counters (see stats.go); owners diff snapshots to
-	// attribute repair modes to one update.
+	// attribute SPF work to one update.
 	stats RepairStats
 }
 
@@ -412,91 +413,6 @@ func (ws *Workspace) Restore(s *State) {
 	ws.dist = append(ws.dist[:0], s.Dist...)
 	ws.order = append(ws.order[:0], s.Order...)
 	ws.dest = s.Dest
-}
-
-// Affect classifies how a single-link weight change touches one
-// destination's cached shortest-path state. It is the decision at the
-// heart of incremental evaluation; Classify is its single
-// implementation.
-type Affect int
-
-const (
-	// AffectNone: distances and DAG membership are both provably
-	// unchanged — the snapshot, its loads and its path delays all stay
-	// valid.
-	AffectNone Affect = iota
-	// AffectJoinDAG: distances are provably unchanged, but the link now
-	// ties the best distance through it and joins the ECMP DAG, changing
-	// load splits and path-delay sets. The snapshot's distances stay
-	// valid; only DAG-derived state must refresh.
-	AffectJoinDAG
-	// AffectLeaveDAG: the link was on the DAG and its weight increased.
-	// Distances are unchanged — and the change is membership-only — iff
-	// the link's tail keeps at least one other tight (on-DAG) successor,
-	// which callers check in O(degree) (or O(1) with a cached
-	// adjacency); otherwise the tail's distance grows and a fresh run is
-	// required.
-	AffectLeaveDAG
-	// AffectFull: distances can change; the destination needs a fresh
-	// Dijkstra.
-	AffectFull
-)
-
-// Classify reports how changing link li's weight from oldW to newW
-// touches this snapshot, in O(1):
-//
-//   - Dead links (or a dead destination: all-Inf distances) never
-//     matter.
-//   - A weight decrease matters iff the link now ties or beats the best
-//     known distance through it: newW+dist(To) <= dist(From); the tie
-//     is AffectJoinDAG, the strict improvement AffectFull.
-//   - A weight increase matters iff the link was on the DAG:
-//     dist(From) == oldW+dist(To) (Dijkstra's triangle inequality rules
-//     out dist(From) exceeding that, so a non-DAG link only gets less
-//     attractive); that case is AffectLeaveDAG, refined by the caller.
-func (s *State) Classify(g *graph.Graph, li int, oldW, newW int32, mask *graph.Mask) Affect {
-	if oldW == newW || !mask.LinkAlive(li) {
-		return AffectNone
-	}
-	l := g.Link(li)
-	dv := s.Dist[l.To]
-	if dv >= Inf {
-		return AffectNone // the link can never lead to this destination
-	}
-	du := s.Dist[l.From]
-	if newW < oldW {
-		switch nd := int64(newW) + dv; {
-		case nd > du:
-			return AffectNone
-		case nd == du:
-			return AffectJoinDAG
-		default:
-			return AffectFull
-		}
-	}
-	if du != int64(oldW)+dv {
-		return AffectNone
-	}
-	return AffectLeaveDAG
-}
-
-// AffectedBy reports whether this destination's shortest-path structure
-// (distances or ECMP DAG membership) can change at all when link li's
-// weight moves from oldW to newW: any non-AffectNone classification.
-func (s *State) AffectedBy(g *graph.Graph, li int, oldW, newW int32, mask *graph.Mask) bool {
-	return s.Classify(g, li, oldW, newW, mask) != AffectNone
-}
-
-// LinkOnDAG is the snapshot analogue of Workspace.OnDAG: whether link li
-// (with weight wli) lies on a shortest path toward the snapshot's
-// destination.
-func (s *State) LinkOnDAG(g *graph.Graph, wli int32, li int, mask *graph.Mask) bool {
-	if !mask.LinkAlive(li) {
-		return false
-	}
-	l := g.Link(li)
-	dv := s.Dist[l.To]
-	return dv < Inf && s.Dist[l.From] == dv+int64(wli)
 }
 
 // Binary heap with lazy deletion.

@@ -1,18 +1,14 @@
 package spf
 
 // RepairStats counts the SPF work a Workspace has performed: fresh
-// Dijkstra runs, incremental repairs by path taken, and the total nodes
-// whose distance changed across effective repairs. The counters are
-// plain ints bumped unconditionally (a handful of adds per repair, far
-// below the repair's own cost), so callers that own a workspace — e.g.
-// a session worker during a recompute region — can diff snapshots
-// around a region to attribute repair modes to one update without any
-// registry indirection.
+// Dijkstra runs, incremental repairs, and the total nodes whose distance
+// changed across effective repair phases. The counters are plain ints
+// bumped unconditionally (a handful of adds per repair, far below the
+// repair's own cost), so callers that own a workspace — e.g. a session
+// worker during a recompute region — can diff snapshots around a region
+// to attribute SPF work to one update without any registry indirection.
 type RepairStats struct {
 	Runs         int
-	Increase     int
-	Decrease     int
-	Noop         int
 	Batch        int
 	ChangedNodes int
 }
@@ -21,9 +17,6 @@ type RepairStats struct {
 func (s RepairStats) Sub(prev RepairStats) RepairStats {
 	return RepairStats{
 		Runs:         s.Runs - prev.Runs,
-		Increase:     s.Increase - prev.Increase,
-		Decrease:     s.Decrease - prev.Decrease,
-		Noop:         s.Noop - prev.Noop,
 		Batch:        s.Batch - prev.Batch,
 		ChangedNodes: s.ChangedNodes - prev.ChangedNodes,
 	}
@@ -33,9 +26,6 @@ func (s RepairStats) Sub(prev RepairStats) RepairStats {
 func (s RepairStats) Add(o RepairStats) RepairStats {
 	return RepairStats{
 		Runs:         s.Runs + o.Runs,
-		Increase:     s.Increase + o.Increase,
-		Decrease:     s.Decrease + o.Decrease,
-		Noop:         s.Noop + o.Noop,
 		Batch:        s.Batch + o.Batch,
 		ChangedNodes: s.ChangedNodes + o.ChangedNodes,
 	}

@@ -215,26 +215,28 @@ func BenchmarkAllLinkFailureSweep30(b *testing.B) {
 }
 
 // Scenario-runner benchmarks: the same exhaustive single-link sweep on
-// the paper's standard 30-node/180-link RandTopo, serial versus a
-// worker pool. The ratio Serial/8Workers is the runner's speedup and is
-// tracked across PRs (the scenario engine's acceptance bar is >1.5× at
-// 8 workers).
+// the paper's standard 30-node/180-link RandTopo, with the runner's
+// GOMAXPROCS pool at one worker (Serial) and at the default (Parallel).
+// The ratio Serial/Parallel is the runner's speedup and is tracked
+// across PRs.
 
-func benchScenarioRunner(b *testing.B, workers int) {
+func benchScenarioRunner(b *testing.B) {
 	b.Helper()
 	ev, w := benchEvaluator(b, 30, 180)
 	set := scenario.SingleLinkFailures(ev.Graph())
-	r := scenario.Runner{Workers: workers}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Run(ev, w, set)
+		scenario.Runner{}.Run(ev, w, set)
 	}
 }
 
-func BenchmarkScenarioRunnerSerial30(b *testing.B) { benchScenarioRunner(b, 1) }
+func BenchmarkScenarioRunnerSerial30(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	benchScenarioRunner(b)
+}
 
-func BenchmarkScenarioRunner8Workers30(b *testing.B) { benchScenarioRunner(b, 8) }
+func BenchmarkScenarioRunnerParallel30(b *testing.B) { benchScenarioRunner(b) }
 
 // BenchmarkScenarioRunnerMixed30 runs a heterogeneous set — dual-link
 // outages, SRLGs, node failures and hot-spot surges — the shape
@@ -330,13 +332,12 @@ func BenchmarkPhase1Incremental100(b *testing.B) {
 // CI-sized. One pass is m moves, so ns/op divided by m·MaxIter1 is the
 // per-move cost; a superlinear regression in n bends this curve and
 // trips the benchmark gate. The two large points run with -benchtime 1x
-// in CI. The 1000-node point runs its sessions with the recompute
-// worker pool at GOMAXPROCS — the configuration that scale actually
-// uses (and a serial pass costs ~12 minutes) — so it doubles as CI's
-// under-load exercise of the parallel path; on a single-core baseline
-// machine it degenerates to the serial number, and results are
-// bit-identical either way.
-func benchPhase1Sized(b *testing.B, nodes, links, maxIter, workers int) {
+// in CI. Both are above the session worker floor, so the search
+// session runs its recompute regions on GOMAXPROCS workers — CI's
+// under-load exercise of the parallel path; on a single-core machine
+// they degenerate to the serial number, and results are bit-identical
+// either way.
+func benchPhase1Sized(b *testing.B, nodes, links, maxIter int) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	g, err := topogen.Generate(topogen.Spec{Kind: topogen.RandKind, Nodes: nodes, DirectedLinks: links}, rng)
@@ -352,7 +353,6 @@ func benchPhase1Sized(b *testing.B, nodes, links, maxIter, workers int) {
 	cfg.MaxIter1 = maxIter
 	cfg.P1 = 1
 	cfg.Div1Interval = maxIter
-	cfg.Parallelism = workers
 	var stats opt.Stats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -364,11 +364,11 @@ func benchPhase1Sized(b *testing.B, nodes, links, maxIter, workers int) {
 }
 
 func BenchmarkPhase1Incremental300(b *testing.B) {
-	benchPhase1Sized(b, 300, 1500, 2, 1)
+	benchPhase1Sized(b, 300, 1500, 2)
 }
 
 func BenchmarkPhase1Incremental1000(b *testing.B) {
-	benchPhase1Sized(b, 1000, 5000, 1, runtime.GOMAXPROCS(0))
+	benchPhase1Sized(b, 1000, 5000, 1)
 }
 
 // Exact Phase 1b from scratch versus on worker sessions: TopUpSamples
@@ -456,13 +456,13 @@ func BenchmarkRepairVsDijkstra(b *testing.B) {
 
 // BenchmarkRecomputeSerialVsParallel1000 measures the parallel
 // recompute at the 1000-node scale it was built for: one persistent
-// session over a 1000-node hierarchical ISP driven by weight
-// apply/revert pairs, serial versus SetParallelism(0) (= GOMAXPROCS).
-// Both modes replay the identical deterministic move sequence and
-// produce bit-identical results (the equivalence tests' contract), so
-// the Serial/Parallel ns/op ratio is the recompute speedup; on a
-// multi-core machine the acceptance bar is ≥3× at 4+ cores, and on a
-// single-core runner the two collapse to the same number.
+// solo session over a 1000-node hierarchical ISP driven by weight
+// apply/revert pairs, at GOMAXPROCS 1 (Serial) versus the default
+// GOMAXPROCS (Parallel). Both modes replay the identical deterministic
+// move sequence and produce bit-identical results (the equivalence
+// tests' contract), so the Serial/Parallel ns/op ratio is the
+// recompute speedup; on a single-core runner the two collapse to the
+// same number.
 func BenchmarkRecomputeSerialVsParallel1000(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g, err := topogen.Generate(topogen.Spec{Kind: topogen.HierKind, Nodes: 1000}, rng)
@@ -476,10 +476,10 @@ func BenchmarkRecomputeSerialVsParallel1000(b *testing.B) {
 	ev := routing.NewEvaluator(g, demD, demT, cost.DefaultParams(), routing.WorstPath)
 	w := routing.RandomWeightSetting(g.NumLinks(), 20, rng)
 	ses := ev.NewSession(nil, -1)
+	ses.SetParallelism()
 	ses.Init(w)
 	m := g.NumLinks()
-	run := func(b *testing.B, workers int) {
-		ses.SetParallelism(workers)
+	run := func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -488,8 +488,11 @@ func BenchmarkRecomputeSerialVsParallel1000(b *testing.B) {
 			ses.Revert()
 		}
 	}
-	b.Run("Serial", func(b *testing.B) { run(b, 1) })
-	b.Run("Parallel", func(b *testing.B) { run(b, 0) })
+	b.Run("Serial", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		run(b)
+	})
+	b.Run("Parallel", run)
 }
 
 // BenchmarkBatchLinkRepair measures batched multi-link repair on the

@@ -12,8 +12,8 @@ import (
 	"repro/internal/obsv"
 )
 
-// debugServer is testServer with parallel candidate sessions (so worker
-// task spans appear) and handles on the registry and fleet.
+// debugServer is testServer with span recording on and handles on the
+// registry and fleet.
 func debugServer(t *testing.T) (*httptest.Server, *obsv.Registry, *repro.Fleet) {
 	t.Helper()
 	reg := obsv.NewRegistry()
@@ -23,7 +23,7 @@ func debugServer(t *testing.T) (*httptest.Server, *obsv.Registry, *repro.Fleet) 
 	nw, lib := testEngine(t)
 	f, err := repro.NewFleet(
 		[]repro.FleetMember{{Name: "net0", Net: nw, Library: lib}},
-		repro.FleetOptions{Workers: 2})
+		repro.FleetOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +44,7 @@ type spansPayload struct {
 // must produce a connected span tree — the ingest delivery span roots
 // the trace, the observe span nests under it, advise joins, and each
 // per-session update root carries its repair/re-sum/Λ region children
-// and worker task spans — retrievable from /debug/spans, filterable by
-// trace.
+// — retrievable from /debug/spans, filterable by trace.
 func TestDebugSpansLinkFlap(t *testing.T) {
 	ts, _, f := debugServer(t)
 
@@ -90,16 +89,12 @@ func TestDebugSpansLinkFlap(t *testing.T) {
 	getJSON(t, ts.URL+"/debug/spans?trace="+itoa(root.Trace), &tr)
 	names := map[string]int{}
 	ids := map[uint64]bool{}
-	workers := map[int32]bool{}
 	for _, sp := range tr.Spans {
 		if sp.Trace != root.Trace {
 			t.Fatalf("trace filter leaked span %+v", sp)
 		}
 		names[sp.Name]++
 		ids[sp.ID] = true
-		if sp.Name == "session.worker" {
-			workers[sp.Worker] = true
-		}
 	}
 	// The tree must be connected: every parent resolves inside the trace.
 	for _, sp := range tr.Spans {
@@ -109,7 +104,7 @@ func TestDebugSpansLinkFlap(t *testing.T) {
 	}
 	// One session.link update root per library configuration, each with
 	// classification, repair, re-sum and Λ children; advise joins the
-	// same trace; worker task spans cover both workers.
+	// same trace.
 	for name, want := range map[string]int{
 		"ingest.deliver":   1,
 		"observe.link":     1,
@@ -123,9 +118,6 @@ func TestDebugSpansLinkFlap(t *testing.T) {
 		if names[name] != want {
 			t.Errorf("trace has %d %q spans, want %d (all: %v)", names[name], name, want, names)
 		}
-	}
-	if len(workers) < 2 {
-		t.Errorf("worker lanes %v, want spans from 2 workers", workers)
 	}
 
 	// ?limit= keeps the newest N.

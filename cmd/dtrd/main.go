@@ -34,7 +34,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -67,7 +66,6 @@ type options struct {
 	checkpointDir      string
 	checkpointInterval time.Duration
 
-	workers     int
 	intakeCap   int
 	intakeBatch int
 	intakeRetry time.Duration
@@ -105,7 +103,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.checkpointDir, "checkpoint-dir", "", "root directory for durable checkpoints (one <dir>/<network>/ of snapshot + event log per shard); empty disables durability")
 	fs.DurationVar(&o.checkpointInterval, "checkpoint-interval", 0, "periodic checkpoint cadence per shard (0: checkpoint only at shutdown and on POST /fleet/checkpoint)")
 
-	fs.IntVar(&o.workers, "workers", 1, "recompute workers per candidate session (0 = GOMAXPROCS); results are identical at any setting")
 	fs.IntVar(&o.intakeCap, "intake-cap", 4096, "per-shard intake queue capacity in events; full queues shed whole batches with 429")
 	fs.IntVar(&o.intakeBatch, "intake-batch", 1024, "max events coalesced into one selector delivery")
 	fs.DurationVar(&o.intakeRetry, "intake-retry", time.Second, "Retry-After hint returned with 429 responses")
@@ -119,25 +116,9 @@ func defineFlags(fs *flag.FlagSet) *options {
 	return o
 }
 
-// parseFlags parses args into dtrd's options and resolves -workers to
-// the recompute worker count of every session, library builds and
-// serving alike: values <= 0 mean GOMAXPROCS, as in dtropt.
-func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
-	o := defineFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return nil, err
-	}
-	if o.workers <= 0 {
-		o.workers = runtime.GOMAXPROCS(0)
-	}
-	return o, nil
-}
-
 func main() {
-	o, err := parseFlags(flag.NewFlagSet("dtrd", flag.ExitOnError), os.Args[1:])
-	if err != nil {
-		fatal(err)
-	}
+	o := defineFlags(flag.CommandLine)
+	flag.Parse()
 
 	// Install the daemon registry before any engine object exists so the
 	// library builds, replay and serving all record into it.
@@ -178,7 +159,6 @@ func main() {
 			MaxBatch:   o.intakeBatch,
 			RetryAfter: o.intakeRetry,
 		},
-		Workers: o.workers,
 	})
 	if err != nil {
 		fatal(err)
@@ -296,7 +276,7 @@ func buildNetwork(o *options, name string, seed int64) (*repro.Network, *repro.S
 		start := time.Now()
 		fmt.Printf("dtrd: %s: building a %d-configuration library over %d scenarios (budget %s)...\n",
 			name, o.build, day.Size(), o.budget)
-		if lib, err = nw.BuildLibrary(day, repro.LibraryOptions{Size: o.build, Budget: o.budget, Seed: seed, Workers: o.workers}); err != nil {
+		if lib, err = nw.BuildLibrary(day, repro.LibraryOptions{Size: o.build, Budget: o.budget, Seed: seed}); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("dtrd: %s: library ready in %s: %v\n", name, time.Since(start).Round(time.Millisecond), lib.Names())

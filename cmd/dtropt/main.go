@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"repro"
@@ -49,7 +48,6 @@ func main() {
 	budget := flag.String("budget", "std", "search budget: quick|std|paper")
 	frac := flag.Float64("critfrac", 0.15, "critical set size |Ec|/|E|")
 	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 1, "recompute workers per search session (0 = GOMAXPROCS); results are identical at any setting")
 	save := flag.String("save", "", "alias of -weights-out")
 	load := flag.String("load", "", "alias of -weights-in")
 	weightsOut := flag.String("weights-out", "", "write the robust routing to this file as JSON (the format dtrd -weights and Network.RoutingFromJSON consume)")
@@ -117,11 +115,8 @@ func main() {
 		return
 	}
 
-	if *workers <= 0 {
-		*workers = runtime.GOMAXPROCS(0)
-	}
 	start := time.Now()
-	res, err := net.Optimize(repro.OptimizeOptions{Budget: *budget, CriticalFraction: *frac, Seed: *seed, Workers: *workers})
+	res, err := net.Optimize(repro.OptimizeOptions{Budget: *budget, CriticalFraction: *frac, Seed: *seed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dtropt:", err)
 		os.Exit(1)

@@ -1,14 +1,14 @@
 // Command scenarios stress-tests optimized routings against pluggable
 // perturbation scenario sets: exhaustive single-link failures, sampled
 // dual-link outages, shared-risk link groups derived from topology
-// locality, node failures, and traffic surges. The sweep fans across a
-// worker pool; -workers bounds the parallelism.
+// locality, node failures, and traffic surges. The sweep fans out
+// across GOMAXPROCS workers; GOMAXPROCS=1 runs it serially.
 //
 // Usage:
 //
 //	scenarios -topology rand -nodes 30 -links 180 -sets single,dual,srlg,node,hotspot,scale
 //	scenarios -sets dual,hotspot -dual 200 -surges 30 -budget std -seed 7
-//	scenarios -sets single -workers 1   # serial baseline
+//	GOMAXPROCS=1 scenarios -sets single   # serial baseline
 package main
 
 import (
@@ -48,7 +48,6 @@ func main() {
 	dual := flag.Int("dual", 100, "sampled dual-link scenarios")
 	surges := flag.Int("surges", 20, "sampled hot-spot surge scenarios")
 	download := flag.Bool("download", true, "hot-spot surges in download (server->client) direction")
-	workers := flag.Int("workers", 0, "scenario worker pool size (0 = all CPUs, 1 = serial)")
 	metricsOut := flag.String("metrics-out", "", "write the observability registry as a JSON snapshot to this file at exit")
 	flag.Parse()
 
@@ -113,11 +112,11 @@ func main() {
 			continue
 		}
 		start := time.Now()
-		regular, err := net.RunScenariosWorkers(set, res.Regular, *workers)
+		regular, err := net.RunScenarios(set, res.Regular)
 		if err != nil {
 			fatal(err)
 		}
-		robust, err := net.RunScenariosWorkers(set, res.Robust, *workers)
+		robust, err := net.RunScenarios(set, res.Robust)
 		if err != nil {
 			fatal(err)
 		}

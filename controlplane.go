@@ -86,11 +86,11 @@ type LibraryOptions struct {
 	// Budget selects the per-cluster search effort: "quick", "std"
 	// (default) or "paper", as in OptimizeOptions.
 	Budget string
-	// SessionMemoryBudgetBytes caps the incremental-session memory of
-	// each cluster search (0 = the 1 GiB default); see OptimizeOptions.
-	SessionMemoryBudgetBytes int64
-	// Workers is the per-session recompute worker budget of the cluster
-	// searches (0 or 1 = serial); see OptimizeOptions.Workers.
+	// Workers is ignored: how many workers a search uses follows from
+	// GOMAXPROCS and the network's size.
+	//
+	// Deprecated: it stays only because the repository benchmark
+	// (perfbench) still sets it; it goes once the benchmark stops.
 	Workers int
 	// Seed drives the search and the clustering.
 	Seed int64
@@ -115,8 +115,6 @@ func (n *Network) BuildLibrary(set *ScenarioSet, opts LibraryOptions) (*Library,
 		return nil, err
 	}
 	cfg.Seed = opts.Seed
-	cfg.SessionBudgetBytes = opts.SessionMemoryBudgetBytes
-	cfg.Parallelism = opts.Workers
 	lib, err := ctrl.BuildLibrary(n.ev, set.set, ctrl.BuildConfig{K: opts.Size, Opt: cfg})
 	if err != nil {
 		return nil, err
@@ -177,13 +175,6 @@ type Controller struct {
 	lib  *Library
 	core *fleet.Controller
 }
-
-// SetParallelism sets the recompute worker budget of every candidate
-// session the controller keeps (routing.Session.SetParallelism): k <= 0
-// means GOMAXPROCS, 1 (the default) keeps each session serial. Results
-// are bit-identical at every setting; workers trade only the wall-clock
-// latency of Observe on large topologies.
-func (c *Controller) SetParallelism(k int) { c.core.SetParallelism(k) }
 
 // NewController starts a controller on the intact network with base
 // traffic, deploying the library configuration that scores best there.

@@ -33,10 +33,10 @@
 // DESIGN.md, "The incremental evaluation engine"); OptimizeResult's
 // Phase1Stats/Phase2Stats report the resulting evaluation throughput.
 // On large topologies — Topology "hier" generates hierarchical ISPs
-// sized for 1000+ nodes — OptimizeOptions.Workers (and
-// Controller.SetParallelism) shard each session's per-destination
-// recompute across cores; results stay bit-identical at every worker
-// count, so parallelism changes wall-clock time only.
+// sized for 1000+ nodes — the search sessions shard their
+// per-destination recompute across GOMAXPROCS cores once a network has
+// 64 nodes; there is no worker setting, and results stay bit-identical
+// at every core count, so parallelism changes wall-clock time only.
 //
 // The flexibility axis runs online: BuildLibrary precomputes a small
 // set of configurations by clustering the scenario space and

@@ -29,9 +29,10 @@ type FleetMember struct {
 	Net     *Network
 	Library *Library
 	// IntakeTap, when set, observes the labels of every batch delivered
-	// to this member's shard, before coalescing — the audit hook the
-	// no-lost-events drain test uses. Unlike SetDeliveryHook it survives
-	// crash rebuilds of the shard's intake queue.
+	// to this member's shard — the audit hook the no-lost-events drain
+	// test uses. It sees every accepted event before coalescing, outside
+	// the shard's panic barrier; SetDeliveryHook sees the coalesced batch
+	// inside the barrier. Both survive crash rebuilds of the shard.
 	IntakeTap func(labels []string)
 }
 
@@ -48,10 +49,6 @@ type FleetOptions struct {
 	// Intake bounds every member's intake queue (Capacity, MaxBatch,
 	// RetryAfter).
 	Intake IntakeOptions
-	// Workers is the per-session recompute worker budget of every
-	// member controller: 0 or 1 serial, >1 that many workers, <0
-	// GOMAXPROCS. Results are bit-identical at every setting.
-	Workers int
 }
 
 type fleetMember struct {
@@ -99,7 +96,7 @@ func NewFleet(members []FleetMember, opts FleetOptions) (*Fleet, error) {
 		if m.Library.net != m.Net {
 			return nil, fmt.Errorf("repro: member %q: library was built for a different network", m.Name)
 		}
-		net, lib, workers := m.Net, m.Library, opts.Workers
+		net, lib := m.Net, m.Library
 		dir := ""
 		if opts.CheckpointDir != "" {
 			dir = filepath.Join(opts.CheckpointDir, m.Name)
@@ -116,17 +113,8 @@ func NewFleet(members []FleetMember, opts FleetOptions) (*Fleet, error) {
 			}
 		}
 		cfgs = append(cfgs, fleet.ShardConfig{
-			Network: m.Name,
-			Factory: func() (*fleet.Controller, error) {
-				core, err := net.newCore(lib)
-				if err != nil {
-					return nil, err
-				}
-				if workers != 0 && workers != 1 {
-					core.SetParallelism(workers)
-				}
-				return core, nil
-			},
+			Network:            m.Name,
+			Factory:            func() (*fleet.Controller, error) { return net.newCore(lib) },
 			Tap:                tap,
 			Dir:                dir,
 			CheckpointInterval: opts.CheckpointInterval,

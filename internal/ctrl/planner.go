@@ -18,9 +18,6 @@ type PlanConfig struct {
 	// count exceeds max(start, target) by up to this much. 0 demands
 	// every step stay within the envelope of the two endpoints.
 	ViolationSlack int
-	// SkipVerify disables the independent per-step loop-freedom check
-	// (VerifyLoopFree), which costs 2n Dijkstras per step.
-	SkipVerify bool
 	// Trace and Parent, when non-zero, attach the planner's span to an
 	// existing trace (typically the Selector's last observe root) so the
 	// observe → advise → plan chain shares one trace ID.
@@ -38,8 +35,8 @@ type PlanStep struct {
 	// intermediate weight setting.
 	Result routing.Result
 	// LoopFree records the independent forwarding-loop verification of
-	// the intermediate state (always true when verification ran and
-	// passed; a failed check aborts planning).
+	// the intermediate state: always true, since a failed check aborts
+	// planning.
 	LoopFree bool
 }
 
@@ -61,9 +58,6 @@ type Plan struct {
 	Start, Target, Final routing.Result
 }
 
-// Changes returns the number of link rewrites.
-func (p *Plan) Changes() int { return len(p.Steps) }
-
 // PlanMigration computes a bounded-change migration from cur to tgt
 // under the given conditions (failure mask, optional demand overrides;
 // the mask is read, never mutated). The change set is the minimal diff
@@ -72,8 +66,8 @@ func (p *Plan) Changes() int { return len(p.Steps) }
 // rewrite on a persistent session (incremental Apply/Revert, so a
 // candidate costs far less than a full evaluation), discards candidates
 // that break the SLA feasibility envelope, and commits the one with the
-// best resulting objective. Every committed step is SLA-evaluated and,
-// unless cfg.SkipVerify, independently verified loop-free.
+// best resulting objective. Every committed step is SLA-evaluated and
+// independently verified loop-free.
 //
 // When cfg.MaxChanges binds, the result is a staged partial migration:
 // the best MaxChanges-step prefix the greedy order found, with
@@ -104,6 +98,7 @@ func PlanMigration(ev *routing.Evaluator, cur, tgt *routing.WeightSetting, mask 
 	}
 
 	ses := ev.NewScenarioSession(mask, -1, demD, demT)
+	ses.SetParallelism() // the planner drives this one session alone
 	plan := &Plan{Start: ses.Init(cur)}
 	ev.EvaluateDemands(tgt, mask, -1, demD, demT, &plan.Target)
 	plan.Final = plan.Start
@@ -142,15 +137,13 @@ func PlanMigration(ev *routing.Evaluator, cur, tgt *routing.WeightSetting, mask 
 		ses.Apply(l, tgt.Delay[l], tgt.Throughput[l])
 		w.Set(l, tgt.Delay[l], tgt.Throughput[l])
 		st := PlanStep{Link: l, Delay: tgt.Delay[l], Throughput: tgt.Throughput[l], Result: bestRes}
-		if !cfg.SkipVerify {
-			if err := VerifyLoopFree(ev.Graph(), w, mask); err != nil {
-				sp.SetAttr("steps", int64(len(plan.Steps)))
-				sp.SetAttr("verify_failed", 1)
-				sp.End()
-				return nil, fmt.Errorf("ctrl: step %d (link %d): %w", len(plan.Steps), l, err)
-			}
-			st.LoopFree = true
+		if err := VerifyLoopFree(ev.Graph(), w, mask); err != nil {
+			sp.SetAttr("steps", int64(len(plan.Steps)))
+			sp.SetAttr("verify_failed", 1)
+			sp.End()
+			return nil, fmt.Errorf("ctrl: step %d (link %d): %w", len(plan.Steps), l, err)
 		}
+		st.LoopFree = true
 		plan.Steps = append(plan.Steps, st)
 		plan.Final = bestRes
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)

@@ -2,11 +2,12 @@ package ctrl
 
 import (
 	"fmt"
-	"sync"
+	"runtime"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/obsv"
+	"repro/internal/par"
 	"repro/internal/routing"
 	"repro/internal/scenario"
 	"repro/internal/traffic"
@@ -50,6 +51,8 @@ type Selector struct {
 	// Advise, so SLA flight captures fire on degradation, not on every
 	// advise of a persisting violation.
 	lastViol int
+	// fan runs every candidate fan-out (see each).
+	fan par.Pool
 }
 
 // NewSelector builds a selector over the library, basing every
@@ -74,19 +77,6 @@ func NewSelector(ev *routing.Evaluator, lib *Library) (*Selector, error) {
 		s.sessions[i] = ses
 	}
 	return s, nil
-}
-
-// SetParallelism sets the per-session recompute worker budget
-// (routing.Session.SetParallelism) of every candidate session: k <= 0
-// means GOMAXPROCS, 1 (the default) keeps each session serial. Results
-// are bit-identical at every setting. ObserveBatch already fans the k
-// candidate sessions out one-per-goroutine, so per-session workers pay
-// off when the library is small relative to the machine — the two
-// levels multiply.
-func (s *Selector) SetParallelism(k int) {
-	for _, ses := range s.sessions {
-		ses.SetParallelism(k)
-	}
 }
 
 // Library returns the library the selector serves.
@@ -449,23 +439,13 @@ func deltaChanges(cur *traffic.Matrix, d *traffic.Delta) bool {
 	return false
 }
 
-// each applies fn to every candidate session, fanning out across
-// goroutines: the sessions are independent, and each owns all state fn
-// touches, so the result is deterministic regardless of scheduling.
+// each applies fn to every candidate session on GOMAXPROCS workers: the
+// sessions are independent, and each owns all state fn touches, so the
+// result is deterministic regardless of scheduling. The candidates stay
+// serial inside (routing.Session.SetParallelism): this fan-out is the
+// parallelism.
 func (s *Selector) each(fn func(*routing.Session)) {
-	if len(s.sessions) == 1 {
-		fn(s.sessions[0])
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(s.sessions))
-	for _, ses := range s.sessions {
-		go func() {
-			defer wg.Done()
-			fn(ses)
-		}()
-	}
-	wg.Wait()
+	s.fan.Run(runtime.GOMAXPROCS(0), len(s.sessions), func(_, i int) { fn(s.sessions[i]) })
 }
 
 // Result returns candidate i's evaluation under the current conditions.

@@ -45,16 +45,6 @@ func NewController(ev *routing.Evaluator, lib *ctrl.Library) (*Controller, error
 // Library returns the configuration library the controller serves.
 func (c *Controller) Library() *ctrl.Library { return c.lib }
 
-// SetParallelism sets the recompute worker budget of every candidate
-// session (routing.Session.SetParallelism): k <= 0 means GOMAXPROCS, 1
-// (the default) keeps each session serial. Results are bit-identical
-// at every setting.
-func (c *Controller) SetParallelism(k int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sel.SetParallelism(k)
-}
-
 // Validate checks an event's shape against the network without touching
 // any state; it runs lock-free so admission paths can reject malformed
 // batches without serializing against selector work.

@@ -55,17 +55,6 @@ func (b *Builder) AddEdge(u, v int, capacity, delay float64) (fwd, rev int) {
 	return fwd, rev
 }
 
-// HasEdge reports whether any link (in either direction) already exists
-// between u and v. It is O(links) and intended for construction-time use.
-func (b *Builder) HasEdge(u, v int) bool {
-	for _, l := range b.links {
-		if (l.From == u && l.To == v) || (l.From == v && l.To == u) {
-			return true
-		}
-	}
-	return false
-}
-
 // Build finalizes the graph, computing adjacency arrays and validating
 // invariants.
 func (b *Builder) Build() (*Graph, error) {

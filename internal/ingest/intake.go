@@ -36,9 +36,6 @@ type Config struct {
 	// RetryAfter is the backpressure hint callers should surface (the
 	// daemon turns it into an HTTP Retry-After header). Default 1s.
 	RetryAfter time.Duration
-	// NoCoalesce delivers raw batches without coalescing (benchmark
-	// baselines, audit taps that need the full stream).
-	NoCoalesce bool
 	// Tap, when set, observes every delivered batch (pre-coalescing)
 	// from the delivery goroutine. Tests use it to audit exactly which
 	// accepted events reached delivery.
@@ -132,17 +129,6 @@ func (q *Intake) Depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.depthLocked()
-}
-
-// OldestAge returns how long the oldest queued event has been waiting
-// (zero when the queue is empty).
-func (q *Intake) OldestAge() time.Duration {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.depthLocked() == 0 {
-		return 0
-	}
-	return time.Since(q.queue[q.head].at)
 }
 
 // Stats returns a consistent snapshot of the intake's counters.
@@ -326,16 +312,12 @@ func (q *Intake) deliver(batch []pending, depthLeft int) error {
 	if q.cfg.Tap != nil {
 		q.cfg.Tap(events)
 	}
-	out := events
-	if !q.cfg.NoCoalesce {
-		var st CoalesceStats
-		out, st = Coalesce(events)
-		if m != nil {
-			m.coalLink.Add(int64(st.Link))
-			m.coalDemand.Add(int64(st.Demand))
-			m.coalDelta.Add(int64(st.Delta))
-			sp.SetAttr("coalesced", int64(st.Out))
-		}
+	out, st := Coalesce(events)
+	if m != nil {
+		m.coalLink.Add(int64(st.Link))
+		m.coalDemand.Add(int64(st.Demand))
+		m.coalDelta.Add(int64(st.Delta))
+		sp.SetAttr("coalesced", int64(st.Out))
 	}
 	err := q.sink.ObserveBatch(out, sp.TraceID(), sp.ID())
 	if m != nil {

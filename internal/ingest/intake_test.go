@@ -58,7 +58,7 @@ func labeled(n int) []scenario.Event {
 
 func TestIntakeDeliversInOrder(t *testing.T) {
 	sink := &recordSink{}
-	q := New(Config{NoCoalesce: true}, sink)
+	q := New(Config{}, sink)
 	defer q.Close(context.Background())
 
 	events := labeled(10)
@@ -99,7 +99,7 @@ func TestIntakeDeliversInOrder(t *testing.T) {
 
 func TestIntakeBackpressureAllOrNothing(t *testing.T) {
 	sink := &recordSink{}
-	q := New(Config{Capacity: 8, NoCoalesce: true}, sink)
+	q := New(Config{Capacity: 8}, sink)
 	defer q.Close(context.Background())
 
 	q.Pause() // make queue depth deterministic
@@ -182,7 +182,7 @@ func TestIntakeCloseDrainsPaused(t *testing.T) {
 
 func TestIntakeQuiesceWaitsForInflight(t *testing.T) {
 	sink := &recordSink{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
-	q := New(Config{NoCoalesce: true}, sink)
+	q := New(Config{}, sink)
 	defer func() {
 		close(sink.gate)
 		q.Close(context.Background())
@@ -272,7 +272,7 @@ func TestIntakeMetricsReconcile(t *testing.T) {
 	}
 
 	sink := &recordSink{}
-	q := New(Config{Capacity: 4, NoCoalesce: true}, sink)
+	q := New(Config{Capacity: 4}, sink)
 	defer q.Close(context.Background())
 
 	q.Pause()

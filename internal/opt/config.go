@@ -93,13 +93,6 @@ type Config struct {
 	// routing.Session); FullEval exists as the oracle for equivalence
 	// tests and as the benchmark baseline.
 	FullEval bool
-	// Parallelism is the worker budget of the incremental sessions'
-	// per-destination recompute regions (routing.Session.SetParallelism):
-	// 0 and 1 both mean serial, so the zero value is always safe, and
-	// results are bit-identical at every setting — workers change only
-	// wall-clock time. On large topologies, where per-destination work
-	// dominates each move, this is the scaling knob.
-	Parallelism int
 	// Seed drives all randomness.
 	Seed int64
 }

@@ -193,25 +193,43 @@ func phase1bWorkersMatchFullEval(t *testing.T) {
 	}
 }
 
-// TestParallelismMatchesSerial pins the Parallelism knob end to end:
-// the full pipeline at Parallelism 3 must reproduce the serial run bit
-// for bit — same weights, costs and critical set — since session
-// parallelism may change only wall-clock time.
+// TestParallelismMatchesSerial runs the whole pipeline on a 70-node
+// RandTopo, above routing's session worker floor, at GOMAXPROCS 1 and
+// 4. At 4 the solo search sessions fan their regions out and every
+// sweep over pool entries or scenarios runs on four workers; at 1
+// everything is serial. Weights, costs, critical sets and evaluation
+// counts must match bit for bit.
 func TestParallelismMatchesSerial(t *testing.T) {
+	reg := obsv.NewRegistry()
+	obsv.SetDefault(reg)
+	defer obsv.SetDefault(nil)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	parTasks := reg.Counter("routing_session_dest_tasks_total", "", obsv.L("mode", "parallel"))
+
 	cfg := testConfig()
 	cfg.Seed = 19
-
-	serial := New(equivalenceEvaluator(t, topogen.RandKind, 8, 40, 23), cfg).Run()
-
-	cfgPar := cfg
-	cfgPar.Parallelism = 3
-	par := New(equivalenceEvaluator(t, topogen.RandKind, 8, 40, 23), cfgPar).Run()
+	cfg.MaxIter1, cfg.Div1Interval = 1, 1
+	cfg.MaxIter2, cfg.Div2Interval = 1, 1
+	cfg.TargetCriticalFrac = 0.02
+	run := func(procs int) *Solution {
+		runtime.GOMAXPROCS(procs)
+		before := parTasks.Value()
+		sol := New(equivalenceEvaluator(t, topogen.RandKind, 70, 280, 23), cfg).Run()
+		if fanned := parTasks.Value() > before; fanned != (procs > 1) {
+			t.Errorf("GOMAXPROCS %d: session regions fanned out = %v", procs, fanned)
+		}
+		return sol
+	}
+	serial, par := run(1), run(4)
 
 	if !serial.Phase1.BestW.Equal(par.Phase1.BestW) {
 		t.Error("phase 1 best weights differ under parallelism")
 	}
 	if serial.Phase1.Best.Cost != par.Phase1.Best.Cost {
 		t.Errorf("phase 1 best cost %+v != %+v", serial.Phase1.Best.Cost, par.Phase1.Best.Cost)
+	}
+	if serial.Phase1.Stats.Evaluations != par.Phase1.Stats.Evaluations {
+		t.Errorf("phase 1 evaluations %d != %d", serial.Phase1.Stats.Evaluations, par.Phase1.Stats.Evaluations)
 	}
 	if len(serial.Critical) != len(par.Critical) {
 		t.Fatalf("critical set sizes differ: %d vs %d", len(serial.Critical), len(par.Critical))
@@ -226,6 +244,12 @@ func TestParallelismMatchesSerial(t *testing.T) {
 	}
 	if serial.Phase2.FailCost != par.Phase2.FailCost {
 		t.Errorf("phase 2 fail cost %+v != %+v", serial.Phase2.FailCost, par.Phase2.FailCost)
+	}
+	if serial.Phase2.Normal.Cost != par.Phase2.Normal.Cost {
+		t.Errorf("phase 2 normal cost %+v != %+v", serial.Phase2.Normal.Cost, par.Phase2.Normal.Cost)
+	}
+	if serial.Phase2.Stats.Evaluations != par.Phase2.Stats.Evaluations {
+		t.Errorf("phase 2 evaluations %d != %d", serial.Phase2.Stats.Evaluations, par.Phase2.Stats.Evaluations)
 	}
 }
 

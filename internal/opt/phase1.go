@@ -4,13 +4,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/graph"
 	"repro/internal/obsv"
+	"repro/internal/par"
 	"repro/internal/routing"
 )
 
@@ -140,9 +140,7 @@ func (o *Optimizer) RunPhase1() *Phase1Result {
 	var ses *routing.Session
 	if !cfg.FullEval {
 		ses = o.ev.NewSession(nil, -1)
-		if cfg.Parallelism > 1 {
-			ses.SetParallelism(cfg.Parallelism)
-		}
+		ses.SetParallelism() // the search drives this one session alone
 	}
 	// One root span for the whole phase; the search session hangs its
 	// per-update spans off it (no-op until a recorder is enabled).
@@ -336,6 +334,7 @@ func (o *Optimizer) emulatePhase1b(p1 *Phase1Result) int {
 	}
 	tasks := make([]task, 0, cfg.Tau*m)
 	results := make([]cost.Cost, cfg.Tau*m)
+	ws := make([]*routing.WeightSetting, runtime.GOMAXPROCS(0)) // per-worker scratch
 	batches, evals := 0, 0
 	for !p1.Converged && (cfg.MaxTopUpBatches == 0 || batches < cfg.MaxTopUpBatches) {
 		batches++
@@ -350,16 +349,16 @@ func (o *Optimizer) emulatePhase1b(p1 *Phase1Result) int {
 				})
 			}
 		}
-		parallelWorkers(len(tasks), func() func(i int) {
-			w := routing.NewWeightSetting(m)
-			var r routing.Result
-			return func(i int) {
-				t := tasks[i]
-				w.CopyFrom(p1.Pool[t.entry].W)
-				w.Set(t.link, t.wd, t.wt)
-				o.ev.EvaluateNormal(w, &r)
-				results[i] = r.Cost
+		par.Do(len(ws), len(tasks), func(wk, i int) {
+			if ws[wk] == nil {
+				ws[wk] = routing.NewWeightSetting(m)
 			}
+			w, t := ws[wk], tasks[i]
+			w.CopyFrom(p1.Pool[t.entry].W)
+			w.Set(t.link, t.wd, t.wt)
+			var r routing.Result
+			o.ev.EvaluateNormal(w, &r)
+			results[i] = r.Cost
 		})
 		for i, t := range tasks {
 			p1.Sampler.Add(t.link, results[i])
@@ -389,13 +388,10 @@ func (o *Optimizer) exactPhase1b(p1 *Phase1Result) int {
 	if !o.cfg.FullEval && workers > 0 {
 		o.sessionPhase1b(entries, int(workers), results)
 	} else {
-		parallelWorkers(len(results), func() func(i int) {
+		par.Do(runtime.GOMAXPROCS(0), len(results), func(_, i int) {
 			var r routing.Result
-			return func(i int) {
-				entry, link := i/m, i%m
-				o.ev.EvaluateLinkFailure(entries[entry].W, link, o.cfg.FailBoth, &r)
-				results[i] = r.Cost
-			}
+			o.ev.EvaluateLinkFailure(entries[i/m].W, i%m, o.cfg.FailBoth, &r)
+			results[i] = r.Cost
 		})
 	}
 	sampler := core.NewSampler(m, o.cfg.LeftTailFrac, rand.New(rand.NewSource(o.cfg.Seed+3)))
@@ -431,24 +427,28 @@ func (o *Optimizer) sessionPhase1b(entries []PoolEntry, k int, results []cost.Co
 			tasks = append(tasks, task{e, lo, min(lo+size, m)})
 		}
 	}
-	runWorkers(k, len(tasks), func() func(i int) {
-		ses := o.ev.NewSession(graph.NewMask(g), -1)
-		entry := -1
-		down := make([]routing.LinkStateChange, 0, 2)
-		return func(i int) {
-			t := tasks[i]
-			if t.entry != entry {
-				ses.Init(entries[t.entry].W)
-				entry = t.entry
+	type worker struct {
+		ses   *routing.Session
+		entry int // the pool entry ses is based on
+		down  []routing.LinkStateChange
+	}
+	wks := make([]worker, k)
+	par.Do(k, len(tasks), func(w, i int) {
+		wk, t := &wks[w], tasks[i]
+		if wk.ses == nil {
+			wk.ses, wk.entry = o.ev.NewSession(graph.NewMask(g), -1), -1
+		}
+		if t.entry != wk.entry {
+			wk.ses.Init(entries[t.entry].W)
+			wk.entry = t.entry
+		}
+		for l := t.lo; l < t.hi; l++ {
+			wk.down = append(wk.down[:0], routing.LinkStateChange{Link: l})
+			if r := g.Link(l).Reverse; o.cfg.FailBoth && r >= 0 {
+				wk.down = append(wk.down, routing.LinkStateChange{Link: r})
 			}
-			for l := t.lo; l < t.hi; l++ {
-				down = append(down[:0], routing.LinkStateChange{Link: l})
-				if r := g.Link(l).Reverse; o.cfg.FailBoth && r >= 0 {
-					down = append(down, routing.LinkStateChange{Link: r})
-				}
-				results[t.entry*m+l] = ses.SetLinkStates(down).Cost
-				ses.Revert()
-			}
+			results[t.entry*m+l] = wk.ses.SetLinkStates(wk.down).Cost
+			wk.ses.Revert()
 		}
 	})
 }
@@ -486,39 +486,4 @@ func (o *Optimizer) SelectCriticalWeighted(p1 *Phase1Result, frac float64, probs
 		}
 	}
 	return out
-}
-
-// parallelWorkers runs fn(0..n-1) across GOMAXPROCS workers, giving each
-// worker its own closure state via the maker.
-func parallelWorkers(n int, maker func() func(i int)) {
-	runWorkers(runtime.GOMAXPROCS(0), n, maker)
-}
-
-// runWorkers is parallelWorkers on at most workers workers.
-func runWorkers(workers, n int, maker func() func(i int)) {
-	workers = min(workers, n)
-	if workers <= 1 {
-		fn := maker()
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int, n)
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
-		go func() {
-			defer wg.Done()
-			fn := maker()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

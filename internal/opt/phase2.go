@@ -2,11 +2,13 @@ package opt
 
 import (
 	"math"
+	"runtime"
 	"time"
 
 	"repro/internal/cost"
 	"repro/internal/graph"
 	"repro/internal/obsv"
+	"repro/internal/par"
 	"repro/internal/routing"
 	"repro/internal/scenario"
 	"repro/internal/traffic"
@@ -200,12 +202,15 @@ func (o *Optimizer) runPhase2(p1 *Phase1Result, scens []phase2Scenario) *Phase2R
 	evals := 0
 	results := make([]routing.Result, len(scens))
 	weighted := func() cost.Cost { return weightedCost(scens, results) }
+	// The scenarios are independent, so every sweep over them fans out;
+	// each index owns its result slot, keeping the weighted sum
+	// deterministic.
+	var fan par.Pool
+	procs := runtime.GOMAXPROCS(0)
 	evalFail := func(w *routing.WeightSetting) cost.Cost {
-		parallelWorkers(len(scens), func() func(i int) {
-			return func(i int) {
-				sc := &scens[i]
-				o.ev.EvaluateDemands(w, sc.mask, sc.skip, sc.demD, sc.demT, &results[i])
-			}
+		fan.Run(procs, len(scens), func(_, i int) {
+			sc := &scens[i]
+			o.ev.EvaluateDemands(w, sc.mask, sc.skip, sc.demD, sc.demT, &results[i])
 		})
 		evals += len(scens)
 		return weighted()
@@ -225,41 +230,29 @@ func (o *Optimizer) runPhase2(p1 *Phase1Result, scens []phase2Scenario) *Phase2R
 	if useSessions {
 		nses = o.ev.NewSession(nil, -1)
 		nses.SetSpanContext(root.TraceID(), root.ID())
-		if cfg.Parallelism > 1 {
-			// Only the normal-conditions session parallelizes internally:
-			// the scenario sessions already fan out one-per-worker below,
-			// and nesting the two levels would oversubscribe.
-			nses.SetParallelism(cfg.Parallelism)
-		}
+		// The loop drives the normal-conditions session alone; the
+		// scenario sessions run inside the fan-out and stay serial.
+		nses.SetParallelism()
 		fses = make([]*routing.Session, len(scens))
 		for i, sc := range scens {
 			fses[i] = o.ev.NewScenarioSession(sc.mask, sc.skip, sc.demD, sc.demT)
 		}
 	}
-	// The scenario sessions are independent, so moves fan out across
-	// workers; each index owns its result slot, keeping the weighted sum
-	// deterministic.
 	initFail := func(w *routing.WeightSetting) cost.Cost {
 		if !useSessions {
 			return evalFail(w)
 		}
-		parallelWorkers(len(fses), func() func(i int) {
-			return func(i int) { results[i] = fses[i].Init(w) }
-		})
+		fan.Run(procs, len(fses), func(_, i int) { results[i] = fses[i].Init(w) })
 		evals += len(fses)
 		return weighted()
 	}
 	applyFail := func(l int, wd, wt int32) cost.Cost {
-		parallelWorkers(len(fses), func() func(i int) {
-			return func(i int) { results[i] = fses[i].Apply(l, wd, wt) }
-		})
+		fan.Run(procs, len(fses), func(_, i int) { results[i] = fses[i].Apply(l, wd, wt) })
 		evals += len(fses)
 		return weighted()
 	}
 	revertFail := func() {
-		parallelWorkers(len(fses), func() func(i int) {
-			return func(i int) { fses[i].Revert() }
-		})
+		fan.Run(procs, len(fses), func(_, i int) { fses[i].Revert() })
 	}
 
 	bestFail := cost.Cost{Lambda: math.Inf(1), Phi: math.Inf(1)}

@@ -19,7 +19,6 @@ type metrics struct {
 	demandClones  *obsv.Counter
 	demandColumns *obsv.Histogram
 	batchLinks    *obsv.Histogram
-	workers       *obsv.Gauge
 }
 
 var met = obsv.NewView(func(r *obsv.Registry) *metrics {
@@ -52,7 +51,5 @@ var met = obsv.NewView(func(r *obsv.Registry) *metrics {
 			"Changed destination columns per demand update (both classes).", obsv.SizeBuckets),
 		batchLinks: r.Histogram("routing_session_batch_links",
 			"Effective link flips per SetLinkStates batch.", obsv.SizeBuckets),
-		workers: r.Gauge("routing_session_workers",
-			"Recompute worker budget set by the latest SetParallelism call."),
 	}
 })

@@ -23,13 +23,14 @@ package routing
 // Worker scratch (a private spf.Workspace plus demand/flow/delay buffers
 // and a changed-link candidate list) comes from a free list on the
 // Evaluator, so the many sessions an optimizer or selector keeps share
-// one pool and steady-state operation allocates nothing.
+// one pool and steady-state operation allocates nothing. The regions run
+// on the session's par.Pool; how many workers they get is a rule, not a
+// setting (see SetParallelism).
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/obsv"
 	"repro/internal/spf"
 )
 
@@ -49,6 +50,10 @@ type sesWorker struct {
 	cand  []int
 	lmark []int32
 	epoch int32
+
+	// The worker's lane in a traced fan-out: its span and task count.
+	span  *obsv.Span
+	tasks int
 }
 
 // markChanged records every link whose contribution term differs between
@@ -113,20 +118,33 @@ func (e *Evaluator) putSesWorkers(wks []*sesWorker) {
 	e.wkMu.Unlock()
 }
 
-// SetParallelism sets how many workers the session's recomputes may use
-// for their per-destination and per-link regions. k <= 0 means
-// runtime.GOMAXPROCS(0); 1 (the default) keeps everything on the calling
-// goroutine. Results are bit-identical at every setting — parallelism
-// changes wall-clock time, never bits — so it can be flipped at any
-// point, including between an Apply and its Revert.
-func (s *Session) SetParallelism(k int) {
-	if k <= 0 {
-		k = runtime.GOMAXPROCS(0)
+// parallelNodeFloor is the smallest graph on which a solo session fans
+// its recompute regions out. Below it one update is too little work to
+// pay for waking workers. Measured as one weight apply/revert on one
+// session, 2 workers against serial on a 2-core VM (DESIGN.md, "Scaling
+// to 1000 nodes"): a loss at 30 and 50 nodes, a gain from 70 up.
+const parallelNodeFloor = 64
+
+// SetParallelism marks the session solo: its caller drives it alone,
+// never inside a fan-out over other sessions (Phase 1's search session,
+// Phase 2's normal-conditions session, the migration planner's scoring
+// session). A solo session on a graph of at least parallelNodeFloor
+// nodes runs its per-destination and per-link regions on
+// runtime.GOMAXPROCS(0) workers, read at every update. Every other
+// session stays on the calling goroutine: its caller already fans out
+// over sessions, and nesting the two levels would oversubscribe.
+// Results are bit-identical either way.
+func (s *Session) SetParallelism() { s.solo = true }
+
+// workerCount is the worker budget of the session's next update.
+func (s *Session) workerCount() int {
+	switch {
+	case s.forceWorkers > 0:
+		return s.forceWorkers
+	case s.solo && s.e.g.NumNodes() >= parallelNodeFloor:
+		return runtime.GOMAXPROCS(0)
 	}
-	s.parK = k
-	if m := met.Get(); m != nil {
-		m.workers.Set(float64(k))
-	}
+	return 1
 }
 
 // destTask is one region-1 task: refresh destination t's caches for one
@@ -144,7 +162,7 @@ const (
 	taskThruDAG               // contribution refresh, distances kept
 )
 
-// Region identifiers for the shared worker loop.
+// Region identifiers for the shared task body.
 const (
 	regionDests  = iota // region 1: s.tasks
 	regionInit          // Init's per-destination fill: s.lamQ
@@ -152,21 +170,10 @@ const (
 	regionLambda        // region 3: Λ delay DP over s.lamRun
 )
 
-// parRun is the coordination state of one parallel region: tasks are
-// pulled off a single atomic counter, workers are assigned by a second
-// one, and the main goroutine participates as worker 0.
-type parRun struct {
-	region int32
-	ntasks int32
-	next   atomic.Int32
-	widx   atomic.Int32
-	wg     sync.WaitGroup
-}
-
-// beginPar borrows enough workers for the session's parallelism level
-// and resets every worker's candidate list and dedup epoch.
+// beginPar borrows enough workers for the update's worker budget and
+// resets every worker's candidate list and dedup epoch.
 func (s *Session) beginPar() {
-	for len(s.workers) < s.parK {
+	for k := s.workerCount(); len(s.workers) < k; {
 		s.workers = append(s.workers, s.e.getSesWorker())
 	}
 	for _, wk := range s.workers {
@@ -182,85 +189,54 @@ func (s *Session) endPar() {
 	}
 }
 
-// runRegion executes ntasks tasks of the given region across the
-// session's workers and returns the number of workers that ran. With one
-// worker (or one task) everything stays inline on the calling goroutine;
-// otherwise the main goroutine participates as worker 0 and waits for
-// the k-1 spawned bodies. Spawning per region (rather than parking
-// persistent goroutines) keeps the session single-threaded between
-// regions; dead goroutines are recycled by the runtime, so steady-state
-// regions allocate nothing.
+// runRegion executes ntasks tasks of the given region on the session's
+// pool and returns the number of workers that ran. The pool's body,
+// s.taskFn, is bound once, so steady-state regions allocate nothing.
 func (s *Session) runRegion(region, ntasks int) int {
 	if ntasks == 0 {
 		return 0
 	}
-	k := len(s.workers)
-	if k > ntasks {
-		k = ntasks
-	}
+	k := min(len(s.workers), ntasks)
 	// Region span under the open update root (nil when untraced; every
-	// span method is a no-op then). Worker task spans exist only when the
-	// region actually fans out: serial regions are the worker.
+	// span method is a no-op then). Worker spans, one per lane with its
+	// task count, exist only when the region fans out: a serial region
+	// is its own worker.
 	rsp := s.spRoot.Child(regionSpanNames[region])
 	rsp.SetAttr("tasks", int64(ntasks))
 	rsp.SetAttr("workers", int64(k))
-	s.pr.region = int32(region)
-	s.pr.ntasks = int32(ntasks)
-	s.pr.next.Store(0)
-	if k > 1 {
-		s.spRegion = rsp // published before the spawns, cleared after the join
-		s.pr.widx.Store(0)
-		s.pr.wg.Add(k - 1)
-		for i := 1; i < k; i++ {
-			// s.parGo is the pre-bound method value: spawning through it
-			// (rather than `go s.parBody()`) avoids the per-spawn closure
-			// the compiler would otherwise allocate to capture s.
-			go s.parGo()
+	lanes := k > 1 && rsp != nil
+	if lanes {
+		for w, wk := range s.workers[:k] {
+			wk.tasks, wk.span = 0, rsp.Child("session.worker")
+			wk.span.SetWorker(w)
 		}
-		wsp := rsp.Child("session.worker")
-		wsp.SetWorker(0)
-		wsp.SetAttr("tasks", int64(s.regionLoop(s.workers[0])))
-		wsp.End()
-		s.pr.wg.Wait()
-		s.spRegion = nil
-	} else {
-		s.regionLoop(s.workers[0])
+	}
+	s.region = region
+	s.pool.Run(k, ntasks, s.taskFn)
+	if lanes {
+		for _, wk := range s.workers[:k] {
+			wk.span.SetAttr("tasks", int64(wk.tasks))
+			wk.span.End()
+			wk.span = nil
+		}
 	}
 	rsp.End()
 	return k
 }
 
-func (s *Session) parBody() {
-	i := s.pr.widx.Add(1)
-	wsp := s.spRegion.Child("session.worker")
-	wsp.SetWorker(int(i))
-	wsp.SetAttr("tasks", int64(s.regionLoop(s.workers[i])))
-	wsp.End()
-	s.pr.wg.Done()
-}
-
-// regionLoop pulls tasks off the shared counter until the region is
-// drained, returning how many tasks this worker ran (the busy share its
-// task span reports).
-func (s *Session) regionLoop(wk *sesWorker) int {
-	region, ntasks := s.pr.region, int(s.pr.ntasks)
-	done := 0
-	for {
-		i := int(s.pr.next.Add(1)) - 1
-		if i >= ntasks {
-			return done
-		}
-		done++
-		switch region {
-		case regionDests:
-			s.destTaskRun(i, wk)
-		case regionInit:
-			s.initTaskRun(i, wk)
-		case regionLinks:
-			s.linkTaskRun(i)
-		case regionLambda:
-			s.lambdaTaskRun(i, wk)
-		}
+// regionTask runs task i of the current region on worker w.
+func (s *Session) regionTask(w, i int) {
+	wk := s.workers[w]
+	wk.tasks++
+	switch s.region {
+	case regionDests:
+		s.destTaskRun(i, wk)
+	case regionInit:
+		s.initTaskRun(i, wk)
+	case regionLinks:
+		s.linkTaskRun(i)
+	case regionLambda:
+		s.lambdaTaskRun(i, wk)
 	}
 }
 

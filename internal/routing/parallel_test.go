@@ -2,15 +2,18 @@ package routing
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/obsv"
 	"repro/internal/topogen"
 	"repro/internal/traffic"
 )
 
 // driveTwinSessions runs a serial session and a parallel session (4
-// workers) through one identical randomized event stream — weight moves
+// workers forced, whatever the graph size) through one identical
+// randomized event stream — weight moves
 // with reverts, single link toggles, batched link events, sparse demand
 // deltas and full rebases — requiring bit-identical results after every
 // step. Combined with the evaluator-equivalence drives (which pin the
@@ -22,7 +25,7 @@ func driveTwinSessions(t *testing.T, ev *Evaluator, steps int, seed int64) {
 	m := g.NumLinks()
 	ser := ev.NewSession(graph.NewMask(g), -1)
 	par := ev.NewSession(graph.NewMask(g), -1)
-	par.SetParallelism(4)
+	par.forceWorkers = 4
 	rng := rand.New(rand.NewSource(seed))
 	w := RandomWeightSetting(m, 20, rng)
 
@@ -114,33 +117,55 @@ func TestSessionParallelMatchesEvaluator(t *testing.T) {
 	driveSoak(t, ev, 300, 154, 4)
 }
 
-// TestSetParallelismBounds pins the knob's contract: k <= 0 resolves to
-// GOMAXPROCS, and flipping parallelism between updates on a live
-// session keeps results bit-identical (the knob may be changed at any
-// time).
+// TestSetParallelismBounds pins the worker rule at the floor. A solo
+// session (SetParallelism) fans its regions out once its graph has
+// parallelNodeFloor nodes, and not one node below; a session without
+// the marker never does. The mode="parallel" task counter shows which
+// path ran, and every result matches a serial twin.
 func TestSetParallelismBounds(t *testing.T) {
-	ev := sessionTestEvaluator(t, topogen.RandKind, 10, 50, 55)
-	g := ev.Graph()
-	m := g.NumLinks()
-	rng := rand.New(rand.NewSource(155))
-	w := RandomWeightSetting(m, 20, rng)
+	reg := obsv.NewRegistry()
+	obsv.SetDefault(reg)
+	t.Cleanup(func() { obsv.SetDefault(nil) })
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	parTasks := met.Get().destsParallel
 
-	ref := ev.NewSession(graph.NewMask(g), -1)
-	s := ev.NewSession(graph.NewMask(g), -1)
-	s.SetParallelism(0) // GOMAXPROCS
-	requireSameResult(t, "init", s.Init(w), ref.Init(w))
-	for i := 0; i < 60; i++ {
-		s.SetParallelism(i % 5) // 0 = GOMAXPROCS, 1 = serial, 2..4 workers
-		l := rng.Intn(m)
-		wd := int32(1 + rng.Intn(20))
-		wt := int32(1 + rng.Intn(20))
-		w.Set(l, wd, wt)
-		requireSameResult(t, "apply", s.Apply(l, wd, wt), ref.Apply(l, wd, wt))
+	for _, tc := range []struct {
+		name    string
+		nodes   int
+		solo    bool
+		fansOut bool
+	}{
+		{"solo below the floor", parallelNodeFloor - 1, true, false},
+		{"unmarked at the floor", parallelNodeFloor, false, false},
+		{"solo at the floor", parallelNodeFloor, true, true},
+	} {
+		ev := sessionTestEvaluator(t, topogen.RandKind, tc.nodes, 6*tc.nodes, 55)
+		g := ev.Graph()
+		m := g.NumLinks()
+		rng := rand.New(rand.NewSource(155))
+		w := RandomWeightSetting(m, 20, rng)
+		ref := ev.NewSession(graph.NewMask(g), -1)
+		s := ev.NewSession(graph.NewMask(g), -1)
+		if tc.solo {
+			s.SetParallelism()
+		}
+		before := parTasks.Value()
+		requireSameResult(t, tc.name+" init", s.Init(w), ref.Init(w))
+		for i := 0; i < 20; i++ {
+			l := rng.Intn(m)
+			wd := int32(1 + rng.Intn(20))
+			wt := int32(1 + rng.Intn(20))
+			w.Set(l, wd, wt)
+			requireSameResult(t, tc.name+" apply", s.Apply(l, wd, wt), ref.Apply(l, wd, wt))
+		}
+		if fanned := parTasks.Value() > before; fanned != tc.fansOut {
+			t.Errorf("%s (%d nodes): fanned out = %v, want %v", tc.name, tc.nodes, fanned, tc.fansOut)
+		}
 	}
 }
 
 // TestSessionSteadyStateAllocs pins the pooled-scratch contract: once a
-// session (at parallelism 4) has warmed up every event path, further
+// session (4 workers forced) has warmed up every event path, further
 // Apply/Revert cycles, link toggles, batched link events and demand
 // deltas allocate nothing. Per-worker scratch, undo stashes, task lists
 // and changed-link candidate buffers must all come from pools.
@@ -149,7 +174,7 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 	g := ev.Graph()
 	m := g.NumLinks()
 	s := ev.NewSession(graph.NewMask(g), -1)
-	s.SetParallelism(4)
+	s.forceWorkers = 4
 	rng := rand.New(rand.NewSource(156))
 	w := RandomWeightSetting(m, 20, rng)
 	s.Init(w)

@@ -4,6 +4,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/graph"
 	"repro/internal/obsv"
+	"repro/internal/par"
 	"repro/internal/spf"
 	"repro/internal/traffic"
 )
@@ -106,14 +107,16 @@ type Session struct {
 	// session's own scratch buffers, the only worker the serial path
 	// touches; extra workers are borrowed from the evaluator's shared
 	// free list while a recompute's parallel regions run.
-	parK    int // worker budget; 1 = serial (the default)
-	self    sesWorker
-	workers []*sesWorker
-	tasks   []destTask
-	lamQ    []int // Init's alive-destination list
-	lamRun  []int // region 3's task list (u.lamDests or lamQ)
-	pr      parRun
-	parGo   func() // parBody pre-bound once, so spawns allocate nothing
+	solo         bool // SetParallelism: the caller drives this session alone
+	forceWorkers int  // tests only: a fixed worker budget, bypassing the rule
+	self         sesWorker
+	workers      []*sesWorker
+	tasks        []destTask
+	lamQ         []int // Init's alive-destination list
+	lamRun       []int // region 3's task list (u.lamDests or lamQ)
+	region       int   // the region runRegion is running
+	pool         par.Pool
+	taskFn       func(worker, task int) // regionTask, bound once so regions allocate nothing
 
 	// The pending link change of an Apply or SetLinkStates (see
 	// linkbatch.go): the change in each class's effective weights, which
@@ -125,12 +128,9 @@ type Session struct {
 	raiseEpoch       int32
 
 	// Span tracing (see span.go). spanTrace == 0 (the default) keeps the
-	// session span-silent; spRoot is the open update root span and
-	// spRegion the region span spawned workers attach their task spans
-	// to (written serially before the spawns, read by the workers).
+	// session span-silent; spRoot is the open update root span.
 	spanTrace, spanParent uint64
 	spRoot                *obsv.Span
-	spRegion              *obsv.Span
 
 	undo        undoState
 	freeDest    []delayDest
@@ -217,7 +217,6 @@ func (e *Evaluator) NewSession(mask *graph.Mask, skipNode int) *Session {
 		colMark:    make([]int32, n),
 		raisedD:    make([]int32, m),
 		raisedT:    make([]int32, m),
-		parK:       1,
 		rebaseFrac: demandRebaseFracDefault,
 	}
 	s.self = sesWorker{
@@ -228,7 +227,7 @@ func (e *Evaluator) NewSession(mask *graph.Mask, skipNode int) *Session {
 		lmark:  make([]int32, m),
 	}
 	s.workers = append(s.workers, &s.self)
-	s.parGo = s.parBody
+	s.taskFn = s.regionTask
 	return s
 }
 

@@ -20,14 +20,14 @@ import (
 // endurance version of the repair equivalence tests: weight repairs,
 // toggle repairs, batch repairs, membership-only fast paths, Revert's
 // snapshot restoration and Init's from-scratch fallback all interleave
-// on the same caches for the whole run. workers sets the session's
-// recompute parallelism (1 = serial).
+// on the same caches for the whole run. workers forces the session's
+// recompute worker count (1 = serial).
 func driveSoak(t *testing.T, ev *Evaluator, steps int, seed int64, workers int) {
 	t.Helper()
 	g := ev.Graph()
 	m := g.NumLinks()
 	s := ev.NewSession(graph.NewMask(g), -1)
-	s.SetParallelism(workers)
+	s.forceWorkers = workers
 	ref := graph.NewMask(g)
 	rng := rand.New(rand.NewSource(seed))
 	w := RandomWeightSetting(m, 20, rng)

@@ -19,9 +19,7 @@ func spanTestSetup(t *testing.T, workers int) (*obsv.Registry, *Session) {
 
 	ev := sessionTestEvaluator(t, topogen.RandKind, 16, 64, 11)
 	s := ev.NewSession(nil, -1)
-	if workers > 1 {
-		s.SetParallelism(workers)
-	}
+	s.forceWorkers = workers
 	rng := rand.New(rand.NewSource(12))
 	s.Init(RandomWeightSetting(ev.Graph().NumLinks(), 20, rng))
 	return reg, s

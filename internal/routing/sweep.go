@@ -2,9 +2,9 @@ package routing
 
 import (
 	"runtime"
-	"sync"
 
 	"repro/internal/cost"
+	"repro/internal/par"
 )
 
 // FailureSummary aggregates a set of failure-scenario results the way the
@@ -28,7 +28,7 @@ type FailureSummary struct {
 // same order as links. When both is set each scenario also takes down the
 // reverse link.
 func (e *Evaluator) SweepLinkFailures(w *WeightSetting, links []int, both bool, results []Result) {
-	e.parallelOver(len(links), func(i int) {
+	par.Do(runtime.GOMAXPROCS(0), len(links), func(_, i int) {
 		e.EvaluateLinkFailure(w, links[i], both, &results[i])
 	})
 }
@@ -36,7 +36,7 @@ func (e *Evaluator) SweepLinkFailures(w *WeightSetting, links []int, both bool, 
 // SweepNodeFailures evaluates w under the failure of every listed node,
 // in parallel.
 func (e *Evaluator) SweepNodeFailures(w *WeightSetting, nodes []int, results []Result) {
-	e.parallelOver(len(nodes), func(i int) {
+	par.Do(runtime.GOMAXPROCS(0), len(nodes), func(_, i int) {
 		e.EvaluateNodeFailure(w, nodes[i], &results[i])
 	})
 }
@@ -90,37 +90,6 @@ func sortedDesc(v []int) {
 			v[j], v[j-1] = v[j-1], v[j]
 		}
 	}
-}
-
-// parallelOver runs fn(0..n-1) on up to GOMAXPROCS goroutines. Results
-// are deterministic because each index owns its output slot.
-func (e *Evaluator) parallelOver(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, n)
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // AllLinks returns 0..m-1, the scenario list for "all single link

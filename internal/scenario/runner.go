@@ -3,13 +3,12 @@ package scenario
 import (
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cost"
 	"repro/internal/graph"
 	"repro/internal/obsv"
+	"repro/internal/par"
 	"repro/internal/routing"
 )
 
@@ -31,15 +30,12 @@ var met = obsv.NewView(func(r *obsv.Registry) *metrics {
 	}
 })
 
-// Runner evaluates scenario sets on a worker pool. Each worker owns one
+// Runner evaluates scenario sets on GOMAXPROCS workers (GOMAXPROCS=1
+// runs a set serially on the calling goroutine). Each worker owns one
 // reusable failure mask; per-evaluation scratch buffers come from the
 // Evaluator's pool, so steady state holds exactly one scratch per
-// worker. The zero value runs on GOMAXPROCS workers.
-type Runner struct {
-	// Workers is the pool size; ≤ 0 uses GOMAXPROCS. Workers == 1 runs
-	// the set serially on the calling goroutine.
-	Workers int
-}
+// worker.
+type Runner struct{}
 
 // Result pairs a scenario's name with its evaluation.
 type Result struct {
@@ -104,58 +100,34 @@ func (r *Report) Summary() Summary {
 // report. Results are deterministic and independent of the worker
 // count: each scenario owns its output slot and is evaluated from the
 // same immutable inputs.
-func (r Runner) Run(ev *routing.Evaluator, w *routing.WeightSetting, set Set) *Report {
+func (Runner) Run(ev *routing.Evaluator, w *routing.WeightSetting, set Set) *Report {
 	n := len(set.Scenarios)
 	results := make([]Result, n)
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-
 	m := met.Get() // one fetch per Run; workers share the handles
 	var sp *obsv.Span
 	if m != nil {
 		sp = m.reg.Spans().Start("scenario.run")
 		sp.SetAttr("scenarios", int64(n))
-		sp.SetAttr("workers", int64(workers))
 	}
-	var next atomic.Int64
-	work := func(mask *graph.Mask) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			sc := set.Scenarios[i]
-			mask.Reset()
-			skip, demD, demT := sc.Apply(mask)
-			results[i].Name = sc.Name()
-			if m != nil {
-				t0 := time.Now()
-				ev.EvaluateDemands(w, mask, skip, demD, demT, &results[i].Result)
-				m.evalSeconds.ObserveSince(t0)
-				m.evals.Inc()
-			} else {
-				ev.EvaluateDemands(w, mask, skip, demD, demT, &results[i].Result)
-			}
+	masks := make([]*graph.Mask, runtime.GOMAXPROCS(0)) // one per worker
+	workers := par.Do(len(masks), n, func(wk, i int) {
+		if masks[wk] == nil {
+			masks[wk] = graph.NewMask(ev.Graph())
 		}
-	}
-	if workers <= 1 {
-		work(graph.NewMask(ev.Graph()))
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for k := 0; k < workers; k++ {
-			go func() {
-				defer wg.Done()
-				work(graph.NewMask(ev.Graph()))
-			}()
+		mask, sc := masks[wk], set.Scenarios[i]
+		mask.Reset()
+		skip, demD, demT := sc.Apply(mask)
+		results[i].Name = sc.Name()
+		if m != nil {
+			t0 := time.Now()
+			ev.EvaluateDemands(w, mask, skip, demD, demT, &results[i].Result)
+			m.evalSeconds.ObserveSince(t0)
+			m.evals.Inc()
+		} else {
+			ev.EvaluateDemands(w, mask, skip, demD, demT, &results[i].Result)
 		}
-		wg.Wait()
-	}
+	})
+	sp.SetAttr("workers", int64(workers))
 	sp.End()
 
 	return &Report{Set: set.Name, Results: results}

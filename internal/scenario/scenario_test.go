@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -59,7 +60,10 @@ func TestNodeFailureRunnerMatchesSerialEvaluator(t *testing.T) {
 	}
 }
 
+// TestRunnerDeterministicAcrossWorkerCounts: the runner's pool has
+// GOMAXPROCS workers, and its report is the same at every size.
 func TestRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	g, ev, w := testNet(t, 12, 60)
 	set := Merge("mixed",
 		SingleLinkFailures(g),
@@ -67,14 +71,15 @@ func TestRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
 		NodeFailures(g),
 		SRLGFailures(g, 3),
 	)
-	serial := Runner{Workers: 1}.Run(ev, w, set)
-	for _, workers := range []int{2, 4, 8} {
-		par := Runner{Workers: workers}.Run(ev, w, set)
+	serial := Runner{}.Run(ev, w, set)
+	for _, procs := range []int{2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		par := Runner{}.Run(ev, w, set)
 		if !reflect.DeepEqual(serial.Results, par.Results) {
-			t.Fatalf("results differ between 1 and %d workers", workers)
+			t.Fatalf("results differ between GOMAXPROCS 1 and %d", procs)
 		}
 		if !reflect.DeepEqual(serial.Summary(), par.Summary()) {
-			t.Fatalf("summary differs between 1 and %d workers", workers)
+			t.Fatalf("summary differs between GOMAXPROCS 1 and %d", procs)
 		}
 	}
 }

@@ -319,17 +319,6 @@ type OptimizeOptions struct {
 	// robust objective weights each link-failure scenario by its
 	// probability. Incompatible with NodeFailures.
 	LinkFailureProbs []float64
-	// SessionMemoryBudgetBytes caps the memory Phase 2's per-scenario
-	// incremental sessions may claim; beyond it the search falls back
-	// to from-scratch sweeps with bit-identical results. 0 keeps the
-	// 1 GiB default (opt.DefaultSessionBudgetBytes).
-	SessionMemoryBudgetBytes int64
-	// Workers is the per-session recompute worker budget of the search's
-	// incremental sessions (opt.Config.Parallelism); 0 or 1 keep the
-	// recompute serial. Results are bit-identical at every setting —
-	// workers trade only wall-clock time, which pays off on large
-	// (hundreds to 1000+ node) topologies.
-	Workers int
 	// Seed drives the search.
 	Seed int64
 }
@@ -403,8 +392,6 @@ func (n *Network) Optimize(opts OptimizeOptions) (*OptimizeResult, error) {
 		return nil, err
 	}
 	cfg.Seed = opts.Seed
-	cfg.SessionBudgetBytes = opts.SessionMemoryBudgetBytes
-	cfg.Parallelism = opts.Workers
 	frac := opts.CriticalFraction
 	if frac == 0 {
 		frac = cfg.TargetCriticalFrac

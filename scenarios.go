@@ -130,12 +130,6 @@ type ScenarioReport struct {
 // network, set and routing always produce the same report, regardless
 // of parallelism.
 func (n *Network) RunScenarios(set *ScenarioSet, r *Routing) (*ScenarioReport, error) {
-	return n.RunScenariosWorkers(set, r, 0)
-}
-
-// RunScenariosWorkers is RunScenarios with the worker-pool size bounded
-// explicitly: workers ≤ 0 uses all CPUs, 1 runs serially.
-func (n *Network) RunScenariosWorkers(set *ScenarioSet, r *Routing, workers int) (*ScenarioReport, error) {
 	if set == nil {
 		return nil, fmt.Errorf("repro: nil scenario set")
 	}
@@ -148,7 +142,7 @@ func (n *Network) RunScenariosWorkers(set *ScenarioSet, r *Routing, workers int)
 	if r.w.Len() != n.g.NumLinks() {
 		return nil, fmt.Errorf("repro: routing covers %d links, network has %d", r.w.Len(), n.g.NumLinks())
 	}
-	rep := scenario.Runner{Workers: workers}.Run(n.ev, r.w, set.set)
+	rep := scenario.Runner{}.Run(n.ev, r.w, set.set)
 	return toScenarioReport(rep), nil
 }
 

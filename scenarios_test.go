@@ -2,6 +2,7 @@ package repro
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -207,12 +208,16 @@ func TestRunScenariosDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Error("repeated RunScenarios not deterministic")
 	}
-	serial, err := net.RunScenariosWorkers(set, r, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, serial) {
-		t.Error("serial RunScenariosWorkers diverges from parallel RunScenarios")
+	for _, procs := range []int{1, 2, 4, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		c, err := net.RunScenarios(set, r)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, c) {
+			t.Errorf("RunScenarios at GOMAXPROCS %d diverges from the default", procs)
+		}
 	}
 }
 

@@ -201,19 +201,6 @@ func BenchmarkEvaluateNormal100(b *testing.B) {
 	}
 }
 
-// BenchmarkAllLinkFailureSweep30 measures a parallel sweep over all 180
-// single-link failures, the unit of work of a full-search Phase 2 step.
-func BenchmarkAllLinkFailureSweep30(b *testing.B) {
-	ev, w := benchEvaluator(b, 30, 180)
-	links := ev.AllLinks()
-	results := make([]routing.Result, len(links))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.SweepLinkFailures(w, links, false, results)
-	}
-}
-
 // Scenario-runner benchmarks: the same exhaustive single-link sweep on
 // the paper's standard 30-node/180-link RandTopo, with the runner's
 // GOMAXPROCS pool at one worker (Serial) and at the default (Parallel).
@@ -591,7 +578,7 @@ func BenchmarkSelectorAdviseSurge(b *testing.B) {
 	for i := range ws {
 		ws[i] = routing.RandomWeightSetting(ev.Graph().NumLinks(), 20, rng)
 	}
-	lib, err := ctrl.FromWeightSettings(ev, nil, ws, scenario.Set{})
+	lib, err := ctrl.FromWeightSettings(ev, nil, ws)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -649,7 +636,7 @@ func benchSelectorAdvise(b *testing.B) {
 	for i := range ws {
 		ws[i] = routing.RandomWeightSetting(ev.Graph().NumLinks(), 20, rng)
 	}
-	lib, err := ctrl.FromWeightSettings(ev, nil, ws, scenario.Set{})
+	lib, err := ctrl.FromWeightSettings(ev, nil, ws)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -743,7 +730,7 @@ func benchFirehoseLibrary(b *testing.B) (*routing.Evaluator, *ctrl.Library) {
 	for i := range ws {
 		ws[i] = routing.RandomWeightSetting(ev.Graph().NumLinks(), 20, rng)
 	}
-	lib, err := ctrl.FromWeightSettings(ev, nil, ws, scenario.Set{})
+	lib, err := ctrl.FromWeightSettings(ev, nil, ws)
 	if err != nil {
 		b.Fatal(err)
 	}

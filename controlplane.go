@@ -70,7 +70,7 @@ func (n *Network) LibraryFromRoutings(names []string, routings ...*Routing) (*Li
 		}
 		ws[i] = r.w
 	}
-	lib, err := ctrl.FromWeightSettings(n.ev, names, ws, scenario.Set{})
+	lib, err := ctrl.FromWeightSettings(n.ev, names, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -322,10 +322,8 @@ type MigrationStep struct {
 	Link              int
 	Delay, Throughput int
 	// Evaluation is the network state after this step under the
-	// planning conditions; LoopFree records the independent
-	// forwarding-loop verification of that intermediate state.
+	// planning conditions.
 	Evaluation Evaluation
-	LoopFree   bool
 }
 
 // MigrationPlan is an ordered, verified migration from the deployed
@@ -385,7 +383,6 @@ func planFrom(p *fleet.Plan) *MigrationPlan {
 			Delay:      int(st.Delay),
 			Throughput: int(st.Throughput),
 			Evaluation: toEval(&st.Result),
-			LoopFree:   st.LoopFree,
 		})
 	}
 	return plan

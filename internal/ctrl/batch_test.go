@@ -20,7 +20,7 @@ func batchTestSelectors(t *testing.T, nodes, links int, seed int64) (ev *routing
 		ws[i] = routing.RandomWeightSetting(links, 20, rng)
 	}
 	build := func() *Selector {
-		lib, err := FromWeightSettings(ev, nil, ws, scenario.Set{})
+		lib, err := FromWeightSettings(ev, nil, ws)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -197,7 +197,7 @@ func TestAdviseMatchesOracle(t *testing.T) {
 
 func TestSelectorObserveErrors(t *testing.T) {
 	ev := ctrlTestEvaluator(t, 8, 40, 4)
-	lib, err := FromWeightSettings(ev, nil, []*routing.WeightSetting{routing.NewWeightSetting(ev.Graph().NumLinks())}, scenario.Set{})
+	lib, err := FromWeightSettings(ev, nil, []*routing.WeightSetting{routing.NewWeightSetting(ev.Graph().NumLinks())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestSelectorDemandDedup(t *testing.T) {
 		routing.RandomWeightSetting(ev.Graph().NumLinks(), 20, rng),
 		routing.RandomWeightSetting(ev.Graph().NumLinks(), 20, rng),
 	}
-	lib, err := FromWeightSettings(ev, nil, ws, scenario.Set{})
+	lib, err := FromWeightSettings(ev, nil, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestSelectorDeltaMatchesDense(t *testing.T) {
 	for i := range ws {
 		ws[i] = routing.RandomWeightSetting(ev.Graph().NumLinks(), 20, rng)
 	}
-	lib, err := FromWeightSettings(ev, nil, ws, scenario.Set{})
+	lib, err := FromWeightSettings(ev, nil, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,8 +408,9 @@ func TestPlanMigration(t *testing.T) {
 		t.Fatalf("final %+v != target %+v", full.Final, full.Target)
 	}
 
-	// Every intermediate step: verified loop-free and SLA-evaluated
-	// exactly as a from-scratch run of the intermediate weights.
+	// Every intermediate step: loop-free under the independent check and
+	// SLA-evaluated exactly as a from-scratch run of the intermediate
+	// weights.
 	w := cur.Clone()
 	var want routing.Result
 	for i, st := range full.Steps {
@@ -418,8 +419,8 @@ func TestPlanMigration(t *testing.T) {
 		if st.Result.Cost != want.Cost || st.Result.Violations != want.Violations {
 			t.Fatalf("step %d result %+v != from-scratch %+v", i, st.Result, want)
 		}
-		if !st.LoopFree {
-			t.Fatalf("step %d not verified loop-free", i)
+		if err := VerifyLoopFree(ev.Graph(), w, mask); err != nil {
+			t.Fatalf("step %d: %v", i, err)
 		}
 	}
 	if !w.Equal(tgt) {
@@ -525,18 +526,20 @@ func TestFromWeightSettings(t *testing.T) {
 		routing.RandomWeightSetting(m, 20, rng),
 		routing.RandomWeightSetting(m, 20, rng),
 	}
-	set := mixedSet(ev)
-	lib, err := FromWeightSettings(ev, []string{"a", "b"}, ws, set)
+	lib, err := FromWeightSettings(ev, []string{"a", "b"}, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lib.Size() != 2 || lib.Entries[0].Name != "a" || len(lib.Entries[1].Fingerprint) != set.Size() {
+	if lib.Size() != 2 || lib.Entries[0].Name != "a" || !lib.Entries[1].W.Equal(ws[1]) || lib.Entries[1].Fingerprint != nil {
 		t.Fatalf("imported library wrong: %+v", lib)
 	}
-	if _, err := FromWeightSettings(ev, []string{"only-one"}, ws, set); err == nil {
+	if lib, err := FromWeightSettings(ev, nil, ws); err != nil || lib.Entries[1].Name != "cfg-1" {
+		t.Errorf("default names: %v, %v", lib, err)
+	}
+	if _, err := FromWeightSettings(ev, []string{"only-one"}, ws); err == nil {
 		t.Error("misaligned names accepted")
 	}
-	if _, err := FromWeightSettings(ev, nil, nil, set); err == nil {
+	if _, err := FromWeightSettings(ev, nil, nil); err == nil {
 		t.Error("empty weights accepted")
 	}
 }

@@ -145,10 +145,9 @@ func BuildLibrary(ev *routing.Evaluator, set scenario.Set, cfg BuildConfig) (*Li
 
 // FromWeightSettings assembles a library from externally optimized
 // configurations — e.g. dtropt -weights-out files — without scenario
-// clustering. When set is non-empty the entries are fingerprinted
-// against it. names may be nil (entries get "cfg-i") or must align with
-// ws.
-func FromWeightSettings(ev *routing.Evaluator, names []string, ws []*routing.WeightSetting, set scenario.Set) (*Library, error) {
+// clustering or fingerprints. names may be nil (entries get "cfg-i") or
+// must align with ws.
+func FromWeightSettings(ev *routing.Evaluator, names []string, ws []*routing.WeightSetting) (*Library, error) {
 	if len(ws) == 0 {
 		return nil, fmt.Errorf("ctrl: no weight settings")
 	}
@@ -156,7 +155,7 @@ func FromWeightSettings(ev *routing.Evaluator, names []string, ws []*routing.Wei
 		return nil, fmt.Errorf("ctrl: %d names for %d weight settings", len(names), len(ws))
 	}
 	m := ev.Graph().NumLinks()
-	lib := &Library{Set: set.Name}
+	lib := &Library{}
 	for i, w := range ws {
 		if w.Len() != m {
 			return nil, fmt.Errorf("ctrl: weight setting %d covers %d links, network has %d", i, w.Len(), m)
@@ -166,13 +165,6 @@ func FromWeightSettings(ev *routing.Evaluator, names []string, ws []*routing.Wei
 			name = names[i]
 		}
 		lib.Entries = append(lib.Entries, Entry{Name: name, W: w.Clone()})
-	}
-	if set.Size() > 0 {
-		rep := scenario.Runner{}.Run(ev, lib.Entries[0].W, set)
-		for i := range rep.Results {
-			lib.Scenarios = append(lib.Scenarios, rep.Results[i].Name)
-		}
-		lib.fingerprint(ev, set)
 	}
 	return lib, nil
 }

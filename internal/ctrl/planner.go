@@ -34,16 +34,13 @@ type PlanStep struct {
 	// conditions, bit-identical to a from-scratch evaluation of the
 	// intermediate weight setting.
 	Result routing.Result
-	// LoopFree records the independent forwarding-loop verification of
-	// the intermediate state: always true, since a failed check aborts
-	// planning.
-	LoopFree bool
 }
 
 // Plan is an ordered, verified migration from one weight setting toward
 // another.
 type Plan struct {
-	// Steps are the link rewrites in apply order.
+	// Steps are the link rewrites in apply order, each verified
+	// loop-free when planned: a failed check aborts planning.
 	Steps []PlanStep
 	// Complete reports whether the plan reaches the target exactly.
 	// When false the plan is a stage: Remaining counts the diff links
@@ -136,15 +133,13 @@ func PlanMigration(ev *routing.Evaluator, cur, tgt *routing.WeightSetting, mask 
 		l := remaining[bestIdx]
 		ses.Apply(l, tgt.Delay[l], tgt.Throughput[l])
 		w.Set(l, tgt.Delay[l], tgt.Throughput[l])
-		st := PlanStep{Link: l, Delay: tgt.Delay[l], Throughput: tgt.Throughput[l], Result: bestRes}
 		if err := VerifyLoopFree(ev.Graph(), w, mask); err != nil {
 			sp.SetAttr("steps", int64(len(plan.Steps)))
 			sp.SetAttr("verify_failed", 1)
 			sp.End()
 			return nil, fmt.Errorf("ctrl: step %d (link %d): %w", len(plan.Steps), l, err)
 		}
-		st.LoopFree = true
-		plan.Steps = append(plan.Steps, st)
+		plan.Steps = append(plan.Steps, PlanStep{Link: l, Delay: tgt.Delay[l], Throughput: tgt.Throughput[l], Result: bestRes})
 		plan.Final = bestRes
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/opt"
 	"repro/internal/routing"
+	scen "repro/internal/scenario"
 )
 
 // AblationSelectors compares the paper's distributional critical-link
@@ -49,15 +50,15 @@ func AblationSelectors(o Options) (*Report, error) {
 		{"threshold [Sridharan]", core.ThresholdSelect(p1.Sampler, n, 0.75)},
 	}
 
-	all := opt.AllLinkFailures(sc.ev)
+	all := scen.SingleLinkFailures(sc.g)
 	t := newTable("selector", "|Ec|", "avg violations", "top-10%", "phi_fail")
 	for _, sel := range selectors {
 		p2 := op.RunPhase2(p1, opt.FailureSet{Links: sel.links})
-		sweep := routing.Summarize(opt.EvaluateFailureSet(sc.ev, p2.BestW, all))
+		sweep := scen.Runner{}.Run(sc.ev, p2.BestW, all).Summary()
 		t.row(sel.name, fmt.Sprintf("%d", len(sel.links)),
-			fmt.Sprintf("%.2f", sweep.Avg), fmt.Sprintf("%.2f", sweep.Top10Avg),
-			fmt.Sprintf("%.3g", sweep.Total.Phi))
-		rep.Add("avg_viol_"+sel.name, sweep.Avg)
+			fmt.Sprintf("%.2f", sweep.AvgViolations), fmt.Sprintf("%.2f", sweep.Top10Violations),
+			fmt.Sprintf("%.3g", sweep.TotalCost.Phi))
+		rep.Add("avg_viol_"+sel.name, sweep.AvgViolations)
 	}
 	t.write(w, "Ablation: critical-link selectors at equal |Ec|")
 	return rep, nil
@@ -80,18 +81,18 @@ func AblationTail(o Options) (*Report, error) {
 	op.TopUpSamples(p1)
 	m := sc.g.NumLinks()
 	n := max(1, int(cfg.TargetCriticalFrac*float64(m)))
-	all := opt.AllLinkFailures(sc.ev)
+	all := scen.SingleLinkFailures(sc.g)
 
 	base := core.Select(p1.Sampler.EstimateTail(0.10), n)
 	t := newTable("tail", "avg violations", "top-10%", "overlap with 10%")
 	for _, tail := range []float64{0.05, 0.10, 0.20} {
 		critical := core.Select(p1.Sampler.EstimateTail(tail), n)
 		p2 := op.RunPhase2(p1, opt.FailureSet{Links: critical})
-		sweep := routing.Summarize(opt.EvaluateFailureSet(sc.ev, p2.BestW, all))
+		sweep := scen.Runner{}.Run(sc.ev, p2.BestW, all).Summary()
 		t.row(fmt.Sprintf("%.0f%%", tail*100),
-			fmt.Sprintf("%.2f", sweep.Avg), fmt.Sprintf("%.2f", sweep.Top10Avg),
+			fmt.Sprintf("%.2f", sweep.AvgViolations), fmt.Sprintf("%.2f", sweep.Top10Violations),
 			fmt.Sprintf("%.2f", overlap(critical, base)))
-		rep.Add(fmt.Sprintf("avg_viol_tail%.0f", tail*100), sweep.Avg)
+		rep.Add(fmt.Sprintf("avg_viol_tail%.0f", tail*100), sweep.AvgViolations)
 	}
 	t.write(w, "Ablation: left-tail fraction sensitivity")
 	return rep, nil
@@ -137,14 +138,13 @@ func AblationQ(o Options) (*Report, error) {
 		op.TopUpSamples(p1)
 		critical := op.SelectCritical(p1, cfg.TargetCriticalFrac)
 		p2 := op.RunPhase2(p1, opt.FailureSet{Links: critical})
-		all := opt.AllLinkFailures(sc.ev)
-		sweep := routing.Summarize(opt.EvaluateFailureSet(sc.ev, p2.BestW, all))
+		sweep := scen.Runner{}.Run(sc.ev, p2.BestW, scen.SingleLinkFailures(sc.g)).Summary()
 		t.row(fmt.Sprintf("%.1f", q), fmt.Sprintf("%d", harvested),
 			fmt.Sprintf("%d", p1.Sampler.MinCount()),
 			fmt.Sprintf("%v", p1.Converged),
-			fmt.Sprintf("%.2f", sweep.Avg))
+			fmt.Sprintf("%.2f", sweep.AvgViolations))
 		rep.Add(fmt.Sprintf("samples_q%.1f", q), float64(harvested))
-		rep.Add(fmt.Sprintf("avg_viol_q%.1f", q), sweep.Avg)
+		rep.Add(fmt.Sprintf("avg_viol_q%.1f", q), sweep.AvgViolations)
 	}
 	t.write(w, "Ablation: failure-emulation threshold q")
 	return rep, nil

@@ -260,9 +260,9 @@ type pipeline struct {
 	p1       *opt.Phase1Result
 	critical []int
 	p2       *opt.Phase2Result
-	// regular and robust summarize all-single-link-failure sweeps of the
+	// regular and robust are all-single-link-failure sweeps of the
 	// Phase 1 and Phase 2 solutions.
-	regular, robust routing.FailureSummary
+	regular, robust *scen.Report
 }
 
 func runPipeline(sc *scenario, cfg opt.Config, frac float64) *pipeline {
@@ -273,8 +273,8 @@ func runPipeline(sc *scenario, cfg opt.Config, frac float64) *pipeline {
 	p2 := o.RunPhase2(p1, opt.FailureSet{Links: critical, Both: cfg.FailBoth})
 	pl := &pipeline{opt: o, p1: p1, critical: critical, p2: p2}
 	set := allLinkScenarios(sc, cfg)
-	pl.regular = routing.Summarize(scen.Runner{}.Run(sc.ev, p1.BestW, set).RoutingResults())
-	pl.robust = routing.Summarize(scen.Runner{}.Run(sc.ev, p2.BestW, set).RoutingResults())
+	pl.regular = scen.Runner{}.Run(sc.ev, p1.BestW, set)
+	pl.robust = scen.Runner{}.Run(sc.ev, p2.BestW, set)
 	return pl
 }
 

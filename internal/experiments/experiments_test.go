@@ -2,19 +2,90 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
+	"os"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/routing"
+	scen "repro/internal/scenario"
 )
 
 func quickOpts(buf *bytes.Buffer) Options {
 	return Options{Scale: Quick, Seed: 7, Out: buf}
 }
 
-// TestAllRunnersExecute runs every registered experiment at Quick scale
-// and checks it prints something and returns metrics.
+// goldenPath holds every experiment's metrics at Quick scale, seed 7,
+// recorded from a known-good tree. The comparison is bit for bit: the
+// search is deterministic at every worker count, so any drift is a
+// behaviour change.
+const goldenPath = "testdata/quick_seed7_metrics.json"
+
+// timingMetrics are wall-clock readings, left out of the golden.
+var timingMetrics = map[string]bool{
+	"savings/phase2_seconds_critical":       true,
+	"savings/phase2_seconds_full":           true,
+	"savings/evals_per_sec_phase1":          true,
+	"savings/evals_per_sec_phase2_critical": true,
+	"savings/evals_per_sec_phase2_full":     true,
+}
+
+// pinned returns the report's metrics minus the timing readings.
+func pinned(rep *Report) []Metric {
+	var out []Metric
+	for _, m := range rep.Metrics {
+		if !timingMetrics[rep.ID+"/"+m.Name] {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// sameMetrics compares names, order and value bits.
+func sameMetrics(got, want []Metric) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i].Name != want[i].Name || math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAllRunnersExecute runs every registered experiment at Quick scale,
+// checks it prints something and returns metrics, and compares the
+// metrics with the golden. On a mismatch it prints the actual JSON of
+// every experiment that ran, in the golden's format.
 func TestAllRunnersExecute(t *testing.T) {
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string][]Metric
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	// FMA fusion on other architectures can change a float by one ulp
+	// and with it a search decision, so only amd64 pins the values.
+	compare := runtime.GOARCH == "amd64"
+	var mu sync.Mutex
+	actual := make(map[string][]Metric)
+	mismatch := false
+	t.Cleanup(func() {
+		if !mismatch {
+			return
+		}
+		out, err := json.MarshalIndent(actual, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("actual metrics (%s format):\n%s", goldenPath, out)
+	})
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
@@ -32,6 +103,18 @@ func TestAllRunnersExecute(t *testing.T) {
 			}
 			if buf.Len() == 0 {
 				t.Errorf("%s printed nothing", id)
+			}
+			got := pinned(rep)
+			mu.Lock()
+			defer mu.Unlock()
+			actual[id] = got
+			if !compare {
+				t.Logf("GOARCH=%s: metric values not compared (golden recorded on amd64)", runtime.GOARCH)
+				return
+			}
+			if want := golden[id]; !sameMetrics(got, want) {
+				mismatch = true
+				t.Errorf("%s metrics differ from %s:\n got  %v\n want %v", id, goldenPath, got, want)
 			}
 		})
 	}
@@ -154,10 +237,10 @@ func TestWriteSeries(t *testing.T) {
 }
 
 func TestRankProfiles(t *testing.T) {
-	results := []routing.Result{
-		{Violations: 3, PhiNorm: 0.5},
-		{Violations: 9, PhiNorm: 0.1},
-		{Violations: 1, PhiNorm: 0.9},
+	results := []scen.Result{
+		{Result: routing.Result{Violations: 3, PhiNorm: 0.5}},
+		{Result: routing.Result{Violations: 9, PhiNorm: 0.1}},
+		{Result: routing.Result{Violations: 1, PhiNorm: 0.9}},
 	}
 	viol, phi := rankProfiles(results, 2)
 	if len(viol) != 2 || viol[0] != 9 || viol[1] != 3 {

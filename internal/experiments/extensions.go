@@ -68,9 +68,8 @@ func AblationDelayMetric(o Options) (*Report, error) {
 		scores := map[routing.DelayMetric]float64{}
 		for _, scoreMetric := range []routing.DelayMetric{routing.WorstPath, routing.MeanPath} {
 			sev := routing.NewEvaluator(sc.g, sc.demD, sc.demT, sc.ev.Params(), scoreMetric)
-			results := make([]routing.Result, sc.g.NumLinks())
-			sev.SweepLinkFailures(pl.p2.BestW, sev.AllLinks(), false, results)
-			scores[scoreMetric] = routing.Summarize(results).Avg
+			sweep := scen.Runner{}.Run(sev, pl.p2.BestW, scen.SingleLinkFailures(sc.g)).Summary()
+			scores[scoreMetric] = sweep.AvgViolations
 		}
 		name := "worst-path"
 		if metric == routing.MeanPath {

@@ -27,22 +27,23 @@ func Fig3(o Options) (*Report, error) {
 	cfg := o.config()
 	pl := runPipeline(sc, cfg, cfg.TargetCriticalFrac)
 
-	rows := make([][]float64, len(pl.robust.PerScenario))
+	rows := make([][]float64, len(pl.robust.Results))
 	for i := range rows {
 		rows[i] = []float64{
 			float64(i),
-			float64(pl.robust.PerScenario[i].Violations),
-			float64(pl.regular.PerScenario[i].Violations),
-			pl.robust.PerScenario[i].PhiNorm,
-			pl.regular.PerScenario[i].PhiNorm,
+			float64(pl.robust.Results[i].Violations),
+			float64(pl.regular.Results[i].Violations),
+			pl.robust.Results[i].PhiNorm,
+			pl.regular.Results[i].PhiNorm,
 		}
 	}
 	writeSeries(w, "Fig. 3: per-failure performance, robust vs regular (RandTopo)",
 		[]string{"failure_link", "viol_robust", "viol_regular", "phi_robust", "phi_regular"}, rows)
-	rep.Add("avg_viol_robust", pl.robust.Avg)
-	rep.Add("avg_viol_regular", pl.regular.Avg)
-	rep.Add("phi_fail_robust", pl.robust.Total.Phi)
-	rep.Add("phi_fail_regular", pl.regular.Total.Phi)
+	robust, regular := pl.robust.Summary(), pl.regular.Summary()
+	rep.Add("avg_viol_robust", robust.AvgViolations)
+	rep.Add("avg_viol_regular", regular.AvgViolations)
+	rep.Add("phi_fail_robust", robust.TotalCost.Phi)
+	rep.Add("phi_fail_regular", regular.TotalCost.Phi)
 	return rep, nil
 }
 
@@ -71,7 +72,7 @@ func Fig4(o Options) (*Report, error) {
 		sc.ev.Detail = true
 		var normal routing.Result
 		sc.ev.EvaluateNormal(pl.p2.BestW, &normal)
-		failRes := scen.Runner{}.Run(sc.ev, pl.p2.BestW, scen.SingleLinkFailures(sc.g)).RoutingResults()
+		failRes := scen.Runner{}.Run(sc.ev, pl.p2.BestW, scen.SingleLinkFailures(sc.g)).Results
 		sc.ev.Detail = false
 
 		m := sc.g.NumLinks()
@@ -138,13 +139,13 @@ func Fig5a(o Options) (*Report, error) {
 		}
 		cfg := o.config()
 		pl := runPipeline(sc, cfg, cfgLoad.frac)
-		rob := violationSeries(pl.robust.PerScenario)
-		reg := violationSeries(pl.regular.PerScenario)
+		rob := violationSeries(pl.robust.Results)
+		reg := violationSeries(pl.regular.Results)
 		sort.Sort(sort.Reverse(sort.Float64Slice(rob)))
 		sort.Sort(sort.Reverse(sort.Float64Slice(reg)))
 		out[cfgLoad.name] = series{robust: rob, regular: reg}
-		rep.Add("avg_viol_robust_"+cfgLoad.name, pl.robust.Avg)
-		rep.Add("avg_viol_regular_"+cfgLoad.name, pl.regular.Avg)
+		rep.Add("avg_viol_robust_"+cfgLoad.name, pl.robust.Summary().AvgViolations)
+		rep.Add("avg_viol_regular_"+cfgLoad.name, pl.regular.Summary().AvgViolations)
 	}
 	n := len(out["medium"].robust)
 	rows := make([][]float64, n)
@@ -158,7 +159,7 @@ func Fig5a(o Options) (*Report, error) {
 	return rep, nil
 }
 
-func violationSeries(results []routing.Result) []float64 {
+func violationSeries(results []scen.Result) []float64 {
 	out := make([]float64, len(results))
 	for i := range results {
 		out[i] = float64(results[i].Violations)
@@ -252,11 +253,11 @@ func Fig5d(o Options) (*Report, error) {
 		op := opt.New(sc.ev, cfg)
 		p1 := op.RunPhase1()
 		sc.ev.Detail = true
-		failRes := scen.Runner{}.Run(sc.ev, p1.BestW, scen.SingleLinkFailures(sc.g)).RoutingResults()
+		failRes := scen.Runner{}.Run(sc.ev, p1.BestW, scen.SingleLinkFailures(sc.g)).Results
 		sc.ev.Detail = false
 		vals := make([]float64, len(failRes))
 		for i := range failRes {
-			vals[i] = maxUtilOnDelayLinks(&failRes[i], sc)
+			vals[i] = maxUtilOnDelayLinks(&failRes[i].Result, sc)
 		}
 		series = append(series, vals)
 		m, _ := meanStd(vals)
@@ -338,8 +339,8 @@ func fig6Impl(o Options, id string, load utilTarget, perturb func(*scenario, *ra
 	for inst := 0; inst < instances; inst++ {
 		pd, pt := perturb(sc, rng)
 		pev := routing.NewEvaluator(sc.g, pd, pt, sc.ev.Params(), routing.WorstPath)
-		resR := scen.Runner{}.Run(pev, pl.p2.BestW, set).RoutingResults()
-		resNR := scen.Runner{}.Run(pev, pl.p1.BestW, set).RoutingResults()
+		resR := scen.Runner{}.Run(pev, pl.p2.BestW, set).Results
+		resNR := scen.Runner{}.Run(pev, pl.p1.BestW, set).Results
 		violProfR, phiProfR := rankProfiles(resR, k)
 		violProfNR, phiProfNR := rankProfiles(resNR, k)
 		for i := 0; i < k; i++ {
@@ -350,7 +351,7 @@ func fig6Impl(o Options, id string, load utilTarget, perturb func(*scenario, *ra
 			phiNR[i] += phiProfNR[i]
 		}
 	}
-	baseViol, basePhi := rankProfiles(pl.robust.PerScenario, k)
+	baseViol, basePhi := rankProfiles(pl.robust.Results, k)
 
 	rows := make([][]float64, k)
 	var totR, totNR, totBase float64
@@ -377,7 +378,7 @@ func fig6Impl(o Options, id string, load utilTarget, perturb func(*scenario, *ra
 
 // rankProfiles returns the top-k violation counts and normalized Φ of a
 // sweep, each sorted descending independently.
-func rankProfiles(results []routing.Result, k int) (viol, phi []float64) {
+func rankProfiles(results []scen.Result, k int) (viol, phi []float64) {
 	viol = make([]float64, 0, len(results))
 	phi = make([]float64, 0, len(results))
 	for i := range results {
@@ -403,31 +404,28 @@ func Fig7ab(o Options) (*Report, error) {
 		return nil, err
 	}
 	nodes := scen.NodeFailures(sc.g)
-	sweep := func(ws *routing.WeightSetting) routing.FailureSummary {
-		return routing.Summarize(scen.Runner{}.Run(sc.ev, ws, nodes).RoutingResults())
-	}
-	regular := sweep(sol.regular)
-	robustLink := sweep(sol.robustLink)
-	robustNode := sweep(sol.robustNode)
+	regular := scen.Runner{}.Run(sc.ev, sol.regular, nodes)
+	robustLink := scen.Runner{}.Run(sc.ev, sol.robustLink, nodes)
+	robustNode := scen.Runner{}.Run(sc.ev, sol.robustNode, nodes)
 
-	n := len(regular.PerScenario)
+	n := len(regular.Results)
 	rows := make([][]float64, n)
-	order := sortedIdxByViolations(regular.PerScenario)
+	order := sortedIdxByViolations(regular.Results)
 	for i, si := range order {
 		rows[i] = []float64{float64(i),
-			float64(robustNode.PerScenario[si].Violations),
-			float64(robustLink.PerScenario[si].Violations),
-			float64(regular.PerScenario[si].Violations),
-			robustNode.PerScenario[si].PhiNorm,
-			robustLink.PerScenario[si].PhiNorm,
-			regular.PerScenario[si].PhiNorm,
+			float64(robustNode.Results[si].Violations),
+			float64(robustLink.Results[si].Violations),
+			float64(regular.Results[si].Violations),
+			robustNode.Results[si].PhiNorm,
+			robustLink.Results[si].PhiNorm,
+			regular.Results[si].PhiNorm,
 		}
 	}
 	writeSeries(w, "Fig. 7(a,b): performance under all single node failures",
 		[]string{"sorted_node", "viol_robust_node", "viol_robust_link", "viol_regular", "phi_robust_node", "phi_robust_link", "phi_regular"}, rows)
-	rep.Add("avg_viol_robust_node", robustNode.Avg)
-	rep.Add("avg_viol_robust_link", robustLink.Avg)
-	rep.Add("avg_viol_regular", regular.Avg)
+	rep.Add("avg_viol_robust_node", robustNode.Summary().AvgViolations)
+	rep.Add("avg_viol_robust_link", robustLink.Summary().AvgViolations)
+	rep.Add("avg_viol_regular", regular.Summary().AvgViolations)
 	return rep, nil
 }
 
@@ -443,23 +441,23 @@ func Fig7cd(o Options) (*Report, error) {
 		return nil, err
 	}
 	all := scen.SingleLinkFailures(sc.g)
-	linkSummary := routing.Summarize(scen.Runner{}.Run(sc.ev, sol.robustLink, all).RoutingResults())
-	nodeSummary := routing.Summarize(scen.Runner{}.Run(sc.ev, sol.robustNode, all).RoutingResults())
+	linkSweep := scen.Runner{}.Run(sc.ev, sol.robustLink, all)
+	nodeSweep := scen.Runner{}.Run(sc.ev, sol.robustNode, all)
 
 	// Each routing's own worst-10% link failures, sorted independently
 	// (ranking both by one routing's worst scenarios would bias the
 	// comparison).
 	k := max(1, sc.g.NumLinks()/10)
-	nodeViol, nodePhi := rankProfiles(nodeSummary.PerScenario, k)
-	linkViol, linkPhi := rankProfiles(linkSummary.PerScenario, k)
+	nodeViol, nodePhi := rankProfiles(nodeSweep.Results, k)
+	linkViol, linkPhi := rankProfiles(linkSweep.Results, k)
 	rows := make([][]float64, k)
 	for i := 0; i < k; i++ {
 		rows[i] = []float64{float64(i), nodeViol[i], linkViol[i], nodePhi[i], linkPhi[i]}
 	}
 	writeSeries(w, "Fig. 7(c,d): worst link failures, node-optimized vs link-optimized routing",
 		[]string{"rank", "viol_robust_node", "viol_robust_link", "phi_robust_node", "phi_robust_link"}, rows)
-	rep.Add("avg_viol_robust_node", nodeSummary.Avg)
-	rep.Add("avg_viol_robust_link", linkSummary.Avg)
+	rep.Add("avg_viol_robust_node", nodeSweep.Summary().AvgViolations)
+	rep.Add("avg_viol_robust_link", linkSweep.Summary().AvgViolations)
 	rep.Add("top10_viol_robust_node", mean(nodeViol))
 	rep.Add("top10_viol_robust_link", mean(linkViol))
 	return rep, nil
@@ -489,7 +487,7 @@ func fig7Solutions(o Options) (*fig7Set, *scenario, error) {
 	return &fig7Set{regular: p1.BestW, robustLink: p2link.BestW, robustNode: p2node.BestW}, sc, nil
 }
 
-func sortedIdxByViolations(results []routing.Result) []int {
+func sortedIdxByViolations(results []scen.Result) []int {
 	order := make([]int, len(results))
 	for i := range order {
 		order[i] = i

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/opt"
 	"repro/internal/routing"
+	scen "repro/internal/scenario"
 	"repro/internal/topogen"
 )
 
@@ -122,17 +123,17 @@ func critVsFull(o Options, spec topogen.Spec, load utilTarget, fracs []float64) 
 		op.TopUpSamples(p1)
 		utils = append(utils, p1.Best.AvgUtil)
 
-		all := opt.AllLinkFailures(sc.ev)
-		p2full := op.RunPhase2(p1, all)
-		fullSweep := routing.Summarize(opt.EvaluateFailureSet(sc.ev, p2full.BestW, all))
-		full = append(full, fullSweep.Avg)
+		all := scen.SingleLinkFailures(sc.g)
+		p2full := op.RunPhase2(p1, opt.AllLinkFailures(sc.ev))
+		fullSweep := scen.Runner{}.Run(sc.ev, p2full.BestW, all).Summary()
+		full = append(full, fullSweep.AvgViolations)
 
 		for i, f := range fracs {
 			critical := op.SelectCritical(p1, f)
 			p2 := op.RunPhase2(p1, opt.FailureSet{Links: critical})
-			sweep := routing.Summarize(opt.EvaluateFailureSet(sc.ev, p2.BestW, all))
-			crt[i] = append(crt[i], sweep.Avg)
-			phi[i] = append(phi[i], pct(sweep.Total.Phi, fullSweep.Total.Phi))
+			sweep := scen.Runner{}.Run(sc.ev, p2.BestW, all).Summary()
+			crt[i] = append(crt[i], sweep.AvgViolations)
+			phi[i] = append(phi[i], pct(sweep.TotalCost.Phi, fullSweep.TotalCost.Phi))
 		}
 	}
 	res := &critVsFullResult{betaCrt: make([]stat, len(fracs)), betaPhi: make([]stat, len(fracs))}
@@ -220,10 +221,10 @@ func Table2(o Options) (*Report, error) {
 			}
 			cfg.Seed = o.Seed + int64(r)*877
 			pl := runPipeline(sc, cfg, cfg.TargetCriticalFrac)
-			avgR = append(avgR, pl.robust.Avg)
-			avgNR = append(avgNR, pl.regular.Avg)
-			topR = append(topR, pl.robust.Top10Avg)
-			topNR = append(topNR, pl.regular.Top10Avg)
+			avgR = append(avgR, pl.robust.Summary().AvgViolations)
+			avgNR = append(avgNR, pl.regular.Summary().AvgViolations)
+			topR = append(topR, pl.robust.Summary().Top10Violations)
+			topNR = append(topNR, pl.regular.Summary().Top10Violations)
 			deg = append(deg, pct(pl.p2.Normal.Cost.Phi, pl.p1.Best.Cost.Phi))
 		}
 		m, s := meanStd(avgR)
@@ -307,10 +308,10 @@ func sizeSweep(o Options, id, title string, specs []topogen.Spec, labels []strin
 			}
 			cfg.Seed = o.Seed + int64(r)*877
 			pl := runPipeline(sc, cfg, cfg.TargetCriticalFrac)
-			avgR = append(avgR, pl.robust.Avg)
-			avgNR = append(avgNR, pl.regular.Avg)
-			topR = append(topR, pl.robust.Top10Avg)
-			topNR = append(topNR, pl.regular.Top10Avg)
+			avgR = append(avgR, pl.robust.Summary().AvgViolations)
+			avgNR = append(avgNR, pl.regular.Summary().AvgViolations)
+			topR = append(topR, pl.robust.Summary().Top10Violations)
+			topNR = append(topNR, pl.regular.Summary().Top10Violations)
 		}
 		m, s := meanStd(avgR)
 		avgRRow = append(avgRRow, fmtMeanStd(m, s))
@@ -354,8 +355,8 @@ func Table5(o Options) (*Report, error) {
 			}
 			cfg.Seed = o.Seed + int64(r)*877
 			pl := runPipeline(sc, cfg, cfg.TargetCriticalFrac)
-			vNR = append(vNR, pl.regular.Avg)
-			vR = append(vR, pl.robust.Avg)
+			vNR = append(vNR, pl.regular.Summary().AvgViolations)
+			vR = append(vR, pl.robust.Summary().AvgViolations)
 			// Normal-conditions utilizations of both solutions.
 			sc.ev.Detail = true
 			var nr, rr routing.Result

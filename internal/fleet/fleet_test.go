@@ -38,7 +38,7 @@ func testLibrary(t testing.TB, ev *routing.Evaluator, k int, seed int64) *ctrl.L
 	for i := range ws {
 		ws[i] = routing.RandomWeightSetting(ev.Graph().NumLinks(), 20, rng)
 	}
-	lib, err := ctrl.FromWeightSettings(ev, nil, ws, scenario.Set{})
+	lib, err := ctrl.FromWeightSettings(ev, nil, ws)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func equivSelector(t testing.TB, ev *routing.Evaluator, seed int64) *ctrl.Select
 	for i := range ws {
 		ws[i] = routing.RandomWeightSetting(ev.Graph().NumLinks(), 20, rng)
 	}
-	lib, err := ctrl.FromWeightSettings(ev, nil, ws, scenario.Set{})
+	lib, err := ctrl.FromWeightSettings(ev, nil, ws)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -253,34 +254,53 @@ func TestParallelismMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunPhase2SetMatchesFailureSet checks the generalized scenario
-// entry point against the FailureSet path: the same link failures
-// expressed as a scenario.Set must yield bit-identical Phase 2 results
-// (both searches consume the same RNG stream move for move).
+// TestRunPhase2SetMatchesFailureSet checks RunPhase2 against RunPhase2Set
+// on hand-built equivalent scenario sets: both searches consume the same
+// RNG stream move for move, so every result must be bit-identical. The
+// cases cover links only, fiber-cut semantics, and a mixed set whose
+// nodes carry probabilities while its links do not.
 func TestRunPhase2SetMatchesFailureSet(t *testing.T) {
 	cfg := testConfig()
 	cfg.Seed = 13
 	links := []int{0, 3, 11, 17}
-
-	evA := equivalenceEvaluator(t, topogen.RandKind, 8, 40, 41)
-	oA := New(evA, cfg)
-	p1A := oA.RunPhase1()
-	p2A := oA.RunPhase2(p1A, FailureSet{Links: links})
-
-	evB := equivalenceEvaluator(t, topogen.RandKind, 8, 40, 41)
-	oB := New(evB, cfg)
-	p1B := oB.RunPhase1()
-	set := scenario.Set{Name: "links"}
-	for _, l := range links {
-		set.Scenarios = append(set.Scenarios, scenario.LinkFailure{Links: []int{l}})
+	linkScenarios := func(both bool) []scenario.Scenario {
+		var out []scenario.Scenario
+		for _, l := range links {
+			out = append(out, scenario.LinkFailure{Links: []int{l}, Both: both})
+		}
+		return out
 	}
-	p2B := oB.RunPhase2Set(p1B, set, nil)
-
-	if !p2A.BestW.Equal(p2B.BestW) {
-		t.Error("scenario-set phase 2 weights differ from failure-set path")
+	cases := []struct {
+		name  string
+		fs    FailureSet
+		set   []scenario.Scenario
+		probs []float64
+	}{
+		{"links", FailureSet{Links: links}, linkScenarios(false), nil},
+		{"both", FailureSet{Links: links, Both: true}, linkScenarios(true), nil},
+		{"node-probs", FailureSet{Links: links, Nodes: []int{2, 6}, NodeProbs: []float64{0.5, 3}},
+			append(linkScenarios(false), scenario.NodeFailure{Node: 2}, scenario.NodeFailure{Node: 6}),
+			[]float64{1, 1, 1, 1, 0.5, 3}},
 	}
-	if p2A.FailCost != p2B.FailCost {
-		t.Errorf("fail cost %+v != %+v", p2A.FailCost, p2B.FailCost)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			oA := New(equivalenceEvaluator(t, topogen.RandKind, 8, 40, 41), cfg)
+			a := oA.RunPhase2(oA.RunPhase1(), tc.fs)
+			oB := New(equivalenceEvaluator(t, topogen.RandKind, 8, 40, 41), cfg)
+			b := oB.RunPhase2Set(oB.RunPhase1(), scenario.Set{Scenarios: tc.set}, tc.probs)
+			if !a.BestW.Equal(b.BestW) {
+				t.Error("scenario-set phase 2 weights differ from failure-set path")
+			}
+			if a.FailCost != b.FailCost {
+				t.Errorf("fail cost %+v != %+v", a.FailCost, b.FailCost)
+			}
+			if !reflect.DeepEqual(a.Normal, b.Normal) {
+				t.Errorf("normal evaluation %+v != %+v", a.Normal, b.Normal)
+			}
+			if a.Stats.Evaluations != b.Stats.Evaluations {
+				t.Errorf("evaluations %d != %d", a.Stats.Evaluations, b.Stats.Evaluations)
+			}
+		})
 	}
 }
 

@@ -3,10 +3,12 @@ package opt
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cost"
 	"repro/internal/routing"
+	"repro/internal/scenario"
 	"repro/internal/topogen"
 	"repro/internal/traffic"
 )
@@ -176,10 +178,9 @@ func TestPhase2ImprovesFailureCost(t *testing.T) {
 	ev := testEvaluator(t, 7)
 	o := New(ev, testConfig())
 	p1 := o.RunPhase1()
-	fs := AllLinkFailures(ev)
 	// Failure cost of the regular solution before robust optimization.
-	regularFail := routing.SumFailureCosts(EvaluateFailureSet(ev, p1.BestW, fs))
-	p2 := o.RunPhase2(p1, fs)
+	regularFail := scenario.Runner{}.Run(ev, p1.BestW, scenario.SingleLinkFailures(ev.Graph())).Summary().TotalCost
+	p2 := o.RunPhase2(p1, AllLinkFailures(ev))
 	if regularFail.Less(p2.FailCost) {
 		t.Errorf("robust fail cost %+v worse than regular %+v", p2.FailCost, regularFail)
 	}
@@ -222,20 +223,53 @@ func TestRunFullSearch(t *testing.T) {
 	}
 }
 
-func TestEvaluateFailureSetOrdering(t *testing.T) {
+// TestFailureSetRenderingOrder: a FailureSet renders links first, then
+// nodes, in the order listed, and the runner evaluates the rendering in
+// that order.
+func TestFailureSetRenderingOrder(t *testing.T) {
 	ev := testEvaluator(t, 11)
 	w := routing.NewWeightSetting(ev.Graph().NumLinks())
-	fs := FailureSet{Links: []int{0, 5}, Nodes: []int{2}}
-	rs := EvaluateFailureSet(ev, w, fs)
-	if len(rs) != 3 {
-		t.Fatalf("got %d results, want 3", len(rs))
+	set, probs := FailureSet{Links: []int{0, 5}, Nodes: []int{2}, Both: true}.scenarios()
+	want := []scenario.Scenario{
+		scenario.LinkFailure{Links: []int{0}, Both: true},
+		scenario.LinkFailure{Links: []int{5}, Both: true},
+		scenario.NodeFailure{Node: 2},
 	}
+	if !reflect.DeepEqual(set.Scenarios, want) || probs != nil {
+		t.Fatalf("rendering = %+v, weights %v", set.Scenarios, probs)
+	}
+	rs := scenario.Runner{}.Run(ev, w, set).Results
 	var link0, link5, node2 routing.Result
-	ev.EvaluateLinkFailure(w, 0, false, &link0)
-	ev.EvaluateLinkFailure(w, 5, false, &link5)
+	ev.EvaluateLinkFailure(w, 0, true, &link0)
+	ev.EvaluateLinkFailure(w, 5, true, &link5)
 	ev.EvaluateNodeFailure(w, 2, &node2)
 	if rs[0].Cost != link0.Cost || rs[1].Cost != link5.Cost || rs[2].Cost != node2.Cost {
 		t.Error("result order does not match scenario order")
+	}
+	// A class without probabilities weighs 1.
+	_, probs = FailureSet{Links: []int{3, 4}, Nodes: []int{1}, NodeProbs: []float64{0.25}}.scenarios()
+	if !reflect.DeepEqual(probs, []float64{1, 1, 0.25}) {
+		t.Errorf("partial weights = %v", probs)
+	}
+}
+
+// TestAllLinkAndNodeFailures: the full sets list every link and every
+// node, in index order.
+func TestAllLinkAndNodeFailures(t *testing.T) {
+	ev := testEvaluator(t, 11)
+	links, nodes := AllLinkFailures(ev).Links, AllNodeFailures(ev).Nodes
+	if len(links) != ev.Graph().NumLinks() || len(nodes) != ev.Graph().NumNodes() {
+		t.Fatalf("full sets cover %d links and %d nodes", len(links), len(nodes))
+	}
+	for i, l := range links {
+		if l != i {
+			t.Fatalf("AllLinkFailures = %v", links)
+		}
+	}
+	for i, v := range nodes {
+		if v != i {
+			t.Fatalf("AllNodeFailures = %v", nodes)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package opt
 import (
 	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/cost"
@@ -47,22 +48,47 @@ func (fs FailureSet) validate() {
 
 // AllLinkFailures covers every directed link of the evaluator's graph.
 func AllLinkFailures(ev *routing.Evaluator) FailureSet {
-	return FailureSet{Links: ev.AllLinks()}
+	links := make([]int, ev.Graph().NumLinks())
+	for i := range links {
+		links[i] = i
+	}
+	return FailureSet{Links: links}
 }
 
 // AllNodeFailures covers every node.
 func AllNodeFailures(ev *routing.Evaluator) FailureSet {
-	return FailureSet{Nodes: ev.AllNodes()}
+	nodes := make([]int, ev.Graph().NumNodes())
+	for i := range nodes {
+		nodes[i] = i
+	}
+	return FailureSet{Nodes: nodes}
 }
 
-// EvaluateFailureSet evaluates w under every scenario in fs (in
-// parallel) and returns the per-scenario results: links first, then
-// nodes, in the order listed.
-func EvaluateFailureSet(ev *routing.Evaluator, w *routing.WeightSetting, fs FailureSet) []routing.Result {
-	results := make([]routing.Result, fs.Size())
-	ev.SweepLinkFailures(w, fs.Links, fs.Both, results[:len(fs.Links)])
-	ev.SweepNodeFailures(w, fs.Nodes, results[len(fs.Links):])
-	return results
+// scenarios renders the set as a scenario set plus per-scenario
+// weights: links first, then nodes, in the order listed — the
+// compounding order of Eq. (7). Weights are nil for an unweighted set;
+// a class without probabilities weighs 1.
+func (fs FailureSet) scenarios() (scenario.Set, []float64) {
+	set := scenario.Set{Scenarios: make([]scenario.Scenario, 0, fs.Size())}
+	for _, l := range fs.Links {
+		set.Scenarios = append(set.Scenarios, scenario.LinkFailure{Links: []int{l}, Both: fs.Both})
+	}
+	for _, v := range fs.Nodes {
+		set.Scenarios = append(set.Scenarios, scenario.NodeFailure{Node: v})
+	}
+	if fs.LinkProbs == nil && fs.NodeProbs == nil {
+		return set, nil
+	}
+	probs := appendWeights(make([]float64, 0, fs.Size()), fs.LinkProbs, len(fs.Links))
+	return set, appendWeights(probs, fs.NodeProbs, len(fs.Nodes))
+}
+
+// appendWeights appends probs, or n unit weights when probs is nil.
+func appendWeights(dst, probs []float64, n int) []float64 {
+	if probs == nil {
+		return append(dst, slices.Repeat([]float64{1}, n)...)
+	}
+	return append(dst, probs...)
 }
 
 // Phase2Result carries the robust optimization outcome.
@@ -96,43 +122,11 @@ func (o *Optimizer) sessionBudget() int64 {
 
 // phase2Scenario is one scenario of the generalized robust objective: a
 // failure pattern (the mask is owned by the scenario), an optional node
-// whose traffic is removed, optional demand-matrix overrides, and the
-// scenario's weight in the compounded cost.
+// whose traffic is removed, and optional demand-matrix overrides.
 type phase2Scenario struct {
 	mask       *graph.Mask
 	skip       int
 	demD, demT *traffic.Matrix
-	prob       float64
-}
-
-// failureScenarios renders a FailureSet: links first, then nodes, in
-// the order listed — the compounding order of Eq. (7).
-func (o *Optimizer) failureScenarios(fs FailureSet) []phase2Scenario {
-	g := o.ev.Graph()
-	scens := make([]phase2Scenario, 0, fs.Size())
-	for i, l := range fs.Links {
-		mask := graph.NewMask(g)
-		if fs.Both {
-			mask.FailLinkBoth(l)
-		} else {
-			mask.FailLink(l)
-		}
-		p := 1.0
-		if fs.LinkProbs != nil {
-			p = fs.LinkProbs[i]
-		}
-		scens = append(scens, phase2Scenario{mask: mask, skip: -1, prob: p})
-	}
-	for i, v := range fs.Nodes {
-		mask := graph.NewMask(g)
-		mask.FailNode(v)
-		p := 1.0
-		if fs.NodeProbs != nil {
-			p = fs.NodeProbs[i]
-		}
-		scens = append(scens, phase2Scenario{mask: mask, skip: v, prob: p})
-	}
-	return scens
 }
 
 // RunPhase2 performs the robust optimization of Eq. (4) over the given
@@ -141,6 +135,7 @@ func (o *Optimizer) failureScenarios(fs FailureSet) []phase2Scenario {
 // acceptable settings recorded in Phase 1, it locally searches for the
 // weight setting minimizing the compounded failure cost, subject to the
 // normal-conditions constraints: Λ_normal = Λ* and Φ_normal ≤ (1+χ)Φ*.
+// fs is rendered as a scenario set and searched by RunPhase2Set.
 //
 // By default the search is incremental: one Session per failure scenario
 // (plus one for normal conditions) caches that scenario's routing state,
@@ -150,7 +145,8 @@ func (o *Optimizer) failureScenarios(fs FailureSet) []phase2Scenario {
 // RNG stream and return bit-identical results.
 func (o *Optimizer) RunPhase2(p1 *Phase1Result, fs FailureSet) *Phase2Result {
 	fs.validate()
-	return o.runPhase2(p1, o.failureScenarios(fs))
+	set, probs := fs.scenarios()
+	return o.RunPhase2Set(p1, set, probs)
 }
 
 // RunPhase2Set is RunPhase2 over an arbitrary scenario set — including
@@ -169,30 +165,30 @@ func (o *Optimizer) RunPhase2Set(p1 *Phase1Result, set scenario.Set, probs []flo
 	for i, sc := range set.Scenarios {
 		mask := graph.NewMask(g)
 		skip, demD, demT := sc.Apply(mask)
+		scens[i] = phase2Scenario{mask: mask, skip: skip, demD: demD, demT: demT}
+	}
+	return o.runPhase2(p1, scens, probs)
+}
+
+// weightedCost compounds per-scenario costs under per-scenario weights
+// — Eq. (7) for nil (uniform) weights, the probabilistic extension
+// otherwise. results must align index-for-index with probs.
+func weightedCost(probs []float64, results []routing.Result) cost.Cost {
+	var total cost.Cost
+	for i := range results {
 		p := 1.0
 		if probs != nil {
 			p = probs[i]
 		}
-		scens[i] = phase2Scenario{mask: mask, skip: skip, demD: demD, demT: demT, prob: p}
-	}
-	return o.runPhase2(p1, scens)
-}
-
-// weightedCost compounds per-scenario costs under the scenarios'
-// weights — Eq. (7) for uniform weights, the probabilistic extension
-// otherwise. results must align index-for-index with scens.
-func weightedCost(scens []phase2Scenario, results []routing.Result) cost.Cost {
-	var total cost.Cost
-	for i := range results {
-		total.Lambda += scens[i].prob * results[i].Cost.Lambda
-		total.Phi += scens[i].prob * results[i].Cost.Phi
+		total.Lambda += p * results[i].Cost.Lambda
+		total.Phi += p * results[i].Cost.Phi
 	}
 	return total
 }
 
-// runPhase2 is the shared robust-search loop over generalized
-// scenarios.
-func (o *Optimizer) runPhase2(p1 *Phase1Result, scens []phase2Scenario) *Phase2Result {
+// runPhase2 is the robust-search loop over rendered scenarios, weighted
+// by probs (nil = uniform).
+func (o *Optimizer) runPhase2(p1 *Phase1Result, scens []phase2Scenario, probs []float64) *Phase2Result {
 	start := time.Now()
 	cfg := o.cfg
 	m := o.ev.Graph().NumLinks()
@@ -201,7 +197,7 @@ func (o *Optimizer) runPhase2(p1 *Phase1Result, scens []phase2Scenario) *Phase2R
 
 	evals := 0
 	results := make([]routing.Result, len(scens))
-	weighted := func() cost.Cost { return weightedCost(scens, results) }
+	weighted := func() cost.Cost { return weightedCost(probs, results) }
 	// The scenarios are independent, so every sweep over them fans out;
 	// each index owns its result slot, keeping the weighted sum
 	// deterministic.

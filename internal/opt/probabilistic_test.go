@@ -8,36 +8,31 @@ import (
 )
 
 func TestWeightedCostUniformMatchesSum(t *testing.T) {
-	ev := testEvaluator(t, 19)
-	o := New(ev, testConfig())
-	scens := o.failureScenarios(FailureSet{Links: []int{0, 1}, Nodes: []int{2}})
+	_, probs := FailureSet{Links: []int{0, 1}, Nodes: []int{2}}.scenarios()
 	rs := []routing.Result{
 		{Cost: cost.Cost{Lambda: 1, Phi: 10}},
 		{Cost: cost.Cost{Lambda: 2, Phi: 20}},
 		{Cost: cost.Cost{Lambda: 4, Phi: 40}},
 	}
-	got := weightedCost(scens, rs)
-	want := routing.SumFailureCosts(rs)
-	if got != want {
+	got := weightedCost(probs, rs)
+	if want := (cost.Cost{Lambda: 7, Phi: 70}); got != want {
 		t.Errorf("uniform weightedCost = %v, want %v", got, want)
 	}
 }
 
 func TestWeightedCostAppliesProbs(t *testing.T) {
-	ev := testEvaluator(t, 19)
-	o := New(ev, testConfig())
-	scens := o.failureScenarios(FailureSet{
+	_, probs := FailureSet{
 		Links:     []int{0, 1},
 		LinkProbs: []float64{0.5, 0},
 		Nodes:     []int{2},
 		NodeProbs: []float64{2},
-	})
+	}.scenarios()
 	rs := []routing.Result{
 		{Cost: cost.Cost{Lambda: 10, Phi: 100}},
 		{Cost: cost.Cost{Lambda: 99, Phi: 999}}, // zero probability: ignored
 		{Cost: cost.Cost{Lambda: 1, Phi: 10}},
 	}
-	got := weightedCost(scens, rs)
+	got := weightedCost(probs, rs)
 	want := cost.Cost{Lambda: 0.5*10 + 2*1, Phi: 0.5*100 + 2*10}
 	if got != want {
 		t.Errorf("weightedCost = %v, want %v", got, want)

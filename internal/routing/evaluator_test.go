@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/cost"
 	"repro/internal/graph"
@@ -298,66 +299,6 @@ func TestMeanPathMetric(t *testing.T) {
 	}
 }
 
-func TestSweepMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := twoPath(200)
-	demD, demT := traffic.Gravity(4, 100, 0.3, rng)
-	e := defaultEval(g, demD, demT)
-	w := RandomWeightSetting(g.NumLinks(), 20, rng)
-	links := e.AllLinks()
-	par := make([]Result, len(links))
-	e.SweepLinkFailures(w, links, false, par)
-	for i, li := range links {
-		var seq Result
-		e.EvaluateLinkFailure(w, li, false, &seq)
-		if par[i].Cost != seq.Cost || par[i].Violations != seq.Violations {
-			t.Fatalf("scenario %d: parallel %+v vs sequential %+v", li, par[i].Cost, seq.Cost)
-		}
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	results := make([]Result, 20)
-	for i := range results {
-		results[i].Violations = i // 0..19
-		results[i].Cost = cost.Cost{Lambda: float64(i), Phi: 1}
-	}
-	s := Summarize(results)
-	if s.TotalViolations != 190 {
-		t.Errorf("TotalViolations = %d, want 190", s.TotalViolations)
-	}
-	if math.Abs(s.Avg-9.5) > 1e-9 {
-		t.Errorf("Avg = %g, want 9.5", s.Avg)
-	}
-	// Worst 10% of 20 scenarios = top 2: (19+18)/2.
-	if math.Abs(s.Top10Avg-18.5) > 1e-9 {
-		t.Errorf("Top10Avg = %g, want 18.5", s.Top10Avg)
-	}
-	if s.Total.Phi != 20 {
-		t.Errorf("Total.Phi = %g, want 20", s.Total.Phi)
-	}
-}
-
-func TestSummarizeEmptyAndTiny(t *testing.T) {
-	s := Summarize(nil)
-	if s.Avg != 0 || s.Top10Avg != 0 {
-		t.Error("empty summary should be zero")
-	}
-	one := []Result{{Violations: 7}}
-	s = Summarize(one)
-	if s.Top10Avg != 7 || s.Avg != 7 {
-		t.Errorf("single-scenario summary wrong: %+v", s)
-	}
-}
-
-func TestSumFailureCosts(t *testing.T) {
-	rs := []Result{{Cost: cost.Cost{Lambda: 1, Phi: 2}}, {Cost: cost.Cost{Lambda: 10, Phi: 20}}}
-	total := SumFailureCosts(rs)
-	if total != (cost.Cost{Lambda: 11, Phi: 22}) {
-		t.Errorf("total = %v", total)
-	}
-}
-
 func TestScaleToAvgUtil(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := twoPath(500)
@@ -447,5 +388,110 @@ func TestDisconnectedPairDelayIsInf(t *testing.T) {
 	e.EvaluateLinkFailure(w, 2, false, &res) // cut 1->2
 	if res.PairDelay[0*3+2] < spf.InfDelay {
 		t.Errorf("disconnected pair delay = %g, want InfDelay", res.PairDelay[0*3+2])
+	}
+}
+
+func TestFailBothTakesDownReverse(t *testing.T) {
+	// Chain 0-1-2 with demand both ways: failing 0->1 directed leaves
+	// 2->0 traffic alive; failing both directions cuts it too.
+	b := graph.NewBuilder(3)
+	b.AddEdge(0, 1, 500, 5) // links 0,1
+	b.AddEdge(1, 2, 500, 5) // links 2,3
+	g := b.MustBuild()
+	demD := traffic.NewMatrix(3)
+	demD.Set(0, 2, 1)
+	demD.Set(2, 0, 1)
+	e := NewEvaluator(g, demD, traffic.NewMatrix(3), cost.DefaultParams(), WorstPath)
+	w := NewWeightSetting(g.NumLinks())
+
+	var oneDir, bothDir Result
+	e.EvaluateLinkFailure(w, 0, false, &oneDir)
+	e.EvaluateLinkFailure(w, 0, true, &bothDir)
+	if oneDir.Disconnected != 1 {
+		t.Errorf("directed failure disconnected = %d, want 1", oneDir.Disconnected)
+	}
+	if bothDir.Disconnected != 2 {
+		t.Errorf("both-direction failure disconnected = %d, want 2", bothDir.Disconnected)
+	}
+}
+
+func TestPhiNormConsistency(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	g := twoPath(400)
+	demD, demT := traffic.Gravity(4, 300, 0.3, rng)
+	e := defaultEval(g, demD, demT)
+	w := RandomWeightSetting(g.NumLinks(), 20, rng)
+	var res Result
+	e.EvaluateNormal(w, &res)
+	if math.Abs(res.PhiNorm-res.Cost.Phi/e.PhiUncap()) > 1e-12 {
+		t.Errorf("PhiNorm %g != Phi/PhiUncap %g", res.PhiNorm, res.Cost.Phi/e.PhiUncap())
+	}
+	if e.PhiUncap() <= 0 {
+		t.Errorf("PhiUncap = %g, want positive", e.PhiUncap())
+	}
+}
+
+func TestUtilizationExcludesDeadLinks(t *testing.T) {
+	g := twoPath(100)
+	demT := singleDemand(4, 0, 3, 90)
+	e := defaultEval(g, traffic.NewMatrix(4), demT)
+	w := NewWeightSetting(g.NumLinks())
+	w.Throughput[2] = 10 // everything on the upper path
+	var normal, failed Result
+	e.EvaluateNormal(w, &normal)
+	// Fail the loaded upper-path link: traffic moves to the lower path;
+	// the dead link must not contribute zero-utilization samples...
+	e.EvaluateLinkFailure(w, 0, false, &failed)
+	if failed.MaxUtil != 0.9 {
+		t.Errorf("post-failure MaxUtil = %g, want 0.9 on detour", failed.MaxUtil)
+	}
+	// 8 links alive normally, 7 after the failure: the average must be
+	// taken over alive links only.
+	wantNormal := (0.9 + 0.9) / 8
+	wantFailed := (0.9 + 0.9) / 7
+	if math.Abs(normal.AvgUtil-wantNormal) > 1e-12 {
+		t.Errorf("normal AvgUtil = %g, want %g", normal.AvgUtil, wantNormal)
+	}
+	if math.Abs(failed.AvgUtil-wantFailed) > 1e-12 {
+		t.Errorf("failed AvgUtil = %g, want %g", failed.AvgUtil, wantFailed)
+	}
+}
+
+func TestQuickLoadsLinearInDemand(t *testing.T) {
+	// Scaling both matrices by k scales utilization by k (below the
+	// delay-model knees everything is linear).
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := twoPath(1e6) // huge capacity: stay linear
+		demD, demT := traffic.Gravity(4, 100, 0.3, rng)
+		e1 := defaultEval(g, demD, demT)
+		w := RandomWeightSetting(g.NumLinks(), 20, rand.New(rand.NewSource(seed)))
+		var r1 Result
+		e1.EvaluateNormal(w, &r1)
+
+		k := 1 + rng.Float64()*5
+		e2 := defaultEval(g, demD.Clone().Scale(k), demT.Clone().Scale(k))
+		var r2 Result
+		e2.EvaluateNormal(w, &r2)
+		return math.Abs(r2.MaxUtil-k*r1.MaxUtil) < 1e-9*math.Max(1, k*r1.MaxUtil)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestDetailBuffersReusedAcrossCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	g := twoPath(200)
+	demD, demT := traffic.Gravity(4, 100, 0.3, rng)
+	e := defaultEval(g, demD, demT)
+	e.Detail = true
+	w := NewWeightSetting(g.NumLinks())
+	var res Result
+	e.EvaluateNormal(w, &res)
+	first := &res.PairDelay[0]
+	e.EvaluateNormal(w, &res)
+	if &res.PairDelay[0] != first {
+		t.Error("detail buffers should be reused when capacity allows")
 	}
 }

@@ -192,9 +192,8 @@ func TestSetLinkStatesEdgeCases(t *testing.T) {
 	// batch of only such flips changes nothing, and the session stays
 	// consistent afterwards.
 	v := 3
-	ns := ev.NewNodeFailureSession(v)
-	nref := graph.NewMask(g)
-	nref.FailNode(v)
+	ns := ev.NewSession(nodeDownMask(g, v), v)
+	nref := nodeDownMask(g, v)
 	ns.Init(w)
 	var incident []LinkStateChange
 	for li := 0; li < g.NumLinks(); li++ {
@@ -290,7 +289,7 @@ func driveLinkRevert(t *testing.T, ev *Evaluator, skipNode, steps int, seed int6
 	nxt := graph.NewMask(g) // ref with the batch under test applied
 	var s *Session
 	if skipNode >= 0 {
-		s = ev.NewNodeFailureSession(skipNode)
+		s = ev.NewSession(nodeDownMask(g, skipNode), skipNode)
 		ref.FailNode(skipNode)
 		nxt.FailNode(skipNode)
 	} else {

@@ -255,27 +255,6 @@ func (e *Evaluator) NewScenarioSession(mask *graph.Mask, skipNode int, demD, dem
 	return s
 }
 
-// NewLinkFailureSession returns a session for the scenario with directed
-// link li down (both directions when both is set), matching
-// EvaluateLinkFailure.
-func (e *Evaluator) NewLinkFailureSession(li int, both bool) *Session {
-	mask := graph.NewMask(e.g)
-	if both {
-		mask.FailLinkBoth(li)
-	} else {
-		mask.FailLink(li)
-	}
-	return e.NewSession(mask, -1)
-}
-
-// NewNodeFailureSession returns a session for the scenario with node v
-// down and its traffic removed, matching EvaluateNodeFailure.
-func (e *Evaluator) NewNodeFailureSession(v int) *Session {
-	mask := graph.NewMask(e.g)
-	mask.FailNode(v)
-	return e.NewSession(mask, v)
-}
-
 // Weights returns the session's current weight setting. The caller must
 // treat it as read-only; use Apply to change weights.
 func (s *Session) Weights() *WeightSetting { return s.w }

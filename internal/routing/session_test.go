@@ -94,28 +94,42 @@ func TestSessionMatchesEvaluatorISP(t *testing.T) {
 	driveSession(t, ev, ev.NewSession(nil, -1), nil, -1, 200, 43)
 }
 
+// linkDownMask returns a fresh mask with directed link li failed, both
+// directions when both is set.
+func linkDownMask(g *graph.Graph, li int, both bool) *graph.Mask {
+	mask := graph.NewMask(g)
+	if both {
+		mask.FailLinkBoth(li)
+	} else {
+		mask.FailLink(li)
+	}
+	return mask
+}
+
+// nodeDownMask returns a fresh mask with node v failed.
+func nodeDownMask(g *graph.Graph, v int) *graph.Mask {
+	mask := graph.NewMask(g)
+	mask.FailNode(v)
+	return mask
+}
+
 func TestSessionMatchesEvaluatorLinkFailure(t *testing.T) {
 	ev := sessionTestEvaluator(t, topogen.RandKind, 10, 50, 3)
+	g := ev.Graph()
 	for _, li := range []int{0, 7, 23} {
-		s := ev.NewLinkFailureSession(li, false)
-		mask := graph.NewMask(ev.Graph())
-		mask.FailLink(li)
-		driveSession(t, ev, s, mask, -1, 120, int64(100+li))
+		s := ev.NewSession(linkDownMask(g, li, false), -1)
+		driveSession(t, ev, s, linkDownMask(g, li, false), -1, 120, int64(100+li))
 	}
 	// Physical (both-direction) failure.
-	s := ev.NewLinkFailureSession(4, true)
-	mask := graph.NewMask(ev.Graph())
-	mask.FailLinkBoth(4)
-	driveSession(t, ev, s, mask, -1, 120, 999)
+	s := ev.NewSession(linkDownMask(g, 4, true), -1)
+	driveSession(t, ev, s, linkDownMask(g, 4, true), -1, 120, 999)
 }
 
 func TestSessionMatchesEvaluatorNodeFailure(t *testing.T) {
 	ev := sessionTestEvaluator(t, topogen.RandKind, 12, 60, 4)
 	for _, v := range []int{0, 5, 11} {
-		s := ev.NewNodeFailureSession(v)
-		mask := graph.NewMask(ev.Graph())
-		mask.FailNode(v)
-		driveSession(t, ev, s, mask, v, 120, int64(200+v))
+		s := ev.NewSession(nodeDownMask(ev.Graph(), v), v)
+		driveSession(t, ev, s, nodeDownMask(ev.Graph(), v), v, 120, int64(200+v))
 	}
 }
 
@@ -260,9 +274,8 @@ func TestSessionSetLinkStateNoop(t *testing.T) {
 	requireSameResult(t, "nil-mask link-up", setLink(nil1, 3, true), before)
 
 	v := 3
-	s := ev.NewNodeFailureSession(v)
-	ref := graph.NewMask(g)
-	ref.FailNode(v)
+	s := ev.NewSession(nodeDownMask(g, v), v)
+	ref := nodeDownMask(g, v)
 	s.Init(w)
 	var want Result
 	check := func(step string) {

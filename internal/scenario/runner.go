@@ -86,8 +86,8 @@ type Report struct {
 }
 
 // Summary computes the report's aggregates on first use and caches
-// them. Callers that only consume Results (e.g. to feed
-// routing.Summarize) never pay for the aggregation.
+// them. Callers that only consume Results never pay for the
+// aggregation.
 func (r *Report) Summary() Summary {
 	if r.summary == nil {
 		s := summarize(r.Results)
@@ -165,7 +165,7 @@ func summarize(results []Result) Summary {
 
 	sort.Float64s(viol)
 	sort.Float64s(utils)
-	// Mean over the worst ~10% of scenarios, matching routing.Summarize.
+	// Mean over the worst ~10% of scenarios (at least one).
 	k := len(viol) / 10
 	if k == 0 {
 		k = 1
@@ -196,15 +196,4 @@ func percentile(sorted []float64, p float64) float64 {
 		rank = len(sorted) - 1
 	}
 	return sorted[rank]
-}
-
-// RoutingResults strips the names off a report's results, for reuse by
-// aggregation code written against []routing.Result (e.g.
-// routing.Summarize).
-func (r *Report) RoutingResults() []routing.Result {
-	out := make([]routing.Result, len(r.Results))
-	for i := range r.Results {
-		out[i] = r.Results[i].Result
-	}
-	return out
 }

@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -32,19 +34,29 @@ func testNet(t testing.TB, nodes, links int) (*graph.Graph, *routing.Evaluator, 
 	return g, ev, routing.RandomWeightSetting(links, 20, rng)
 }
 
+// TestSingleLinkRunnerMatchesSerialEvaluator: the runner's link-failure
+// sweeps, directed and fiber-cut, match serial EvaluateLinkFailure calls
+// index for index.
 func TestSingleLinkRunnerMatchesSerialEvaluator(t *testing.T) {
 	g, ev, w := testNet(t, 12, 60)
-	rep := Runner{}.Run(ev, w, SingleLinkFailures(g))
-	if len(rep.Results) != g.NumLinks() {
-		t.Fatalf("%d results for %d links", len(rep.Results), g.NumLinks())
-	}
-	var want routing.Result
-	for li := 0; li < g.NumLinks(); li++ {
-		ev.EvaluateLinkFailure(w, li, false, &want)
-		if !reflect.DeepEqual(want, rep.Results[li].Result) {
-			t.Fatalf("link %d: runner result diverges from EvaluateLinkFailure\nrunner: %+v\nserial: %+v",
-				li, rep.Results[li].Result, want)
-		}
+	for _, tc := range []struct {
+		set  Set
+		both bool
+	}{{SingleLinkFailures(g), false}, {PhysicalLinkFailures(g), true}} {
+		t.Run(tc.set.Name, func(t *testing.T) {
+			rep := Runner{}.Run(ev, w, tc.set)
+			if len(rep.Results) != g.NumLinks() {
+				t.Fatalf("%d results for %d links", len(rep.Results), g.NumLinks())
+			}
+			var want routing.Result
+			for li := 0; li < g.NumLinks(); li++ {
+				ev.EvaluateLinkFailure(w, li, tc.both, &want)
+				if !reflect.DeepEqual(want, rep.Results[li].Result) {
+					t.Fatalf("link %d: runner result diverges from EvaluateLinkFailure\nrunner: %+v\nserial: %+v",
+						li, rep.Results[li].Result, want)
+				}
+			}
+		})
 	}
 }
 
@@ -236,13 +248,87 @@ func TestSummaryAggregates(t *testing.T) {
 	if s.WorstMaxUtil < s.MaxUtilP95 {
 		t.Error("worst util below p95")
 	}
-	// Cross-check the shared aggregates against routing.Summarize.
-	ref := routing.Summarize(rep.RoutingResults())
-	if s.TotalViolations != ref.TotalViolations || s.AvgViolations != ref.Avg || s.Top10Violations != ref.Top10Avg {
-		t.Errorf("summary diverges from routing.Summarize: %+v vs %+v", s, ref)
+	// The β tail: mean of the worst len/10 violation counts; the total
+	// cost compounds Λ and Φ in scenario order.
+	viol := make([]int, len(rep.Results))
+	var totalCost cost.Cost
+	for i, r := range rep.Results {
+		viol[i] = r.Violations
+		totalCost = totalCost.Add(r.Cost)
 	}
-	if s.TotalCost != ref.Total {
-		t.Errorf("total cost %+v vs %+v", s.TotalCost, ref.Total)
+	sort.Sort(sort.Reverse(sort.IntSlice(viol)))
+	k := len(viol) / 10
+	top := 0
+	for _, v := range viol[:k] {
+		top += v
+	}
+	if want := float64(top) / float64(k); s.Top10Violations != want {
+		t.Errorf("Top10Violations = %g, want %g", s.Top10Violations, want)
+	}
+	if s.TotalCost != totalCost {
+		t.Errorf("total cost %+v, want %+v", s.TotalCost, totalCost)
+	}
+}
+
+// TestSummary checks the aggregates on hand-built results: the top-decile
+// mean, ties, empty and one-scenario sets, and the compounded cost.
+func TestSummary(t *testing.T) {
+	named := func(prefix string, rs []routing.Result) []Result {
+		out := make([]Result, len(rs))
+		for i := range rs {
+			out[i] = Result{Name: fmt.Sprintf("%s%d", prefix, i), Result: rs[i]}
+		}
+		return out
+	}
+	decile := make([]routing.Result, 20)
+	for i := range decile {
+		decile[i].Violations = i // 0..19
+		decile[i].Cost = cost.Cost{Lambda: float64(i), Phi: 1}
+	}
+	tied := make([]routing.Result, 10)
+	for i := range tied {
+		tied[i].Violations = 5
+	}
+	cases := []struct {
+		name    string
+		results []Result
+		want    Summary
+	}{
+		{"top-decile", named("s", decile), Summary{
+			Scenarios: 20, TotalViolations: 190, AvgViolations: 9.5,
+			// Worst 10% of 20 scenarios = top 2: (19+18)/2.
+			Top10Violations: 18.5, WorstViolations: 19, WorstScenario: "s19",
+			ViolationsP50: 9, ViolationsP95: 18,
+			TotalCost: cost.Cost{Lambda: 190, Phi: 20},
+		}},
+		{"ties", named("t", tied), Summary{
+			Scenarios: 10, TotalViolations: 50, AvgViolations: 5,
+			// Ties go to the earliest scenario.
+			Top10Violations: 5, WorstViolations: 5, WorstScenario: "t0",
+			ViolationsP50: 5, ViolationsP95: 5,
+		}},
+		{"empty", nil, Summary{}},
+		{"one-scenario", named("o", []routing.Result{{Violations: 7, Disconnected: 2, MaxUtil: 1.5}}), Summary{
+			Scenarios: 1, TotalViolations: 7, AvgViolations: 7,
+			Top10Violations: 7, WorstViolations: 7, WorstScenario: "o0",
+			ViolationsP50: 7, ViolationsP95: 7, Overloaded: 1, Disconnected: 1,
+			MaxUtilP50: 1.5, MaxUtilP95: 1.5, WorstMaxUtil: 1.5,
+		}},
+		{"total-cost", named("c", []routing.Result{
+			{Cost: cost.Cost{Lambda: 1, Phi: 2}},
+			{Cost: cost.Cost{Lambda: 10, Phi: 20}},
+		}), Summary{
+			Scenarios: 2, WorstScenario: "c0",
+			TotalCost: cost.Cost{Lambda: 11, Phi: 22},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := &Report{Results: tc.results}
+			if got := rep.Summary(); got != tc.want {
+				t.Errorf("summary\n got  %+v\n want %+v", got, tc.want)
+			}
+		})
 	}
 }
 

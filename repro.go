@@ -263,44 +263,17 @@ func (r *Routing) EvaluateNodeFailure(v int) Evaluation {
 	return toEval(&res)
 }
 
-// FailureReport aggregates a sweep over failure scenarios.
-type FailureReport struct {
-	// AvgViolations and Top10Violations are the paper's β metrics: mean
-	// SLA violations over all scenarios and over the worst 10%.
-	AvgViolations, Top10Violations float64
-	// TotalDelayCost and TotalThroughputCost compound Λ and Φ over all
-	// scenarios.
-	TotalDelayCost, TotalThroughputCost float64
-	// PerScenario holds each scenario's evaluation, in scenario order.
-	PerScenario []Evaluation
-}
-
-func toFailureReport(s routing.FailureSummary) FailureReport {
-	fr := FailureReport{
-		AvgViolations:       s.Avg,
-		Top10Violations:     s.Top10Avg,
-		TotalDelayCost:      s.Total.Lambda,
-		TotalThroughputCost: s.Total.Phi,
-	}
-	fr.PerScenario = make([]Evaluation, len(s.PerScenario))
-	for i := range s.PerScenario {
-		fr.PerScenario[i] = toEval(&s.PerScenario[i])
-	}
-	return fr
-}
-
 // EvaluateAllLinkFailures sweeps every single directed link failure on
-// the scenario runner.
-func (r *Routing) EvaluateAllLinkFailures() FailureReport {
-	rep := scenario.Runner{}.Run(r.net.ev, r.w, scenario.SingleLinkFailures(r.net.g))
-	return toFailureReport(routing.Summarize(rep.RoutingResults()))
+// the scenario runner. The report's AvgViolations and Top10Violations
+// are the paper's β metrics; PerScenario follows link order.
+func (r *Routing) EvaluateAllLinkFailures() *ScenarioReport {
+	return toScenarioReport(scenario.Runner{}.Run(r.net.ev, r.w, scenario.SingleLinkFailures(r.net.g)))
 }
 
 // EvaluateAllNodeFailures sweeps every single node failure on the
-// scenario runner.
-func (r *Routing) EvaluateAllNodeFailures() FailureReport {
-	rep := scenario.Runner{}.Run(r.net.ev, r.w, scenario.NodeFailures(r.net.g))
-	return toFailureReport(routing.Summarize(rep.RoutingResults()))
+// scenario runner; PerScenario follows node order.
+func (r *Routing) EvaluateAllNodeFailures() *ScenarioReport {
+	return toScenarioReport(scenario.Runner{}.Run(r.net.ev, r.w, scenario.NodeFailures(r.net.g)))
 }
 
 // OptimizeOptions controls the optimization pipeline.

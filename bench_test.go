@@ -786,13 +786,13 @@ func BenchmarkFirehose(b *testing.B) {
 	})
 	b.Run("Batched", func(b *testing.B) {
 		sel, batches, total := benchFirehose(b)
-		in := ingest.New(ingest.Config{Capacity: 1 << 20, MaxBatch: 1024}, sel)
+		in := ingest.New(ingest.Config{Capacity: 1 << 20}, sel)
 		defer in.Close(context.Background())
 		b.ResetTimer()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			for _, tb := range batches {
-				if _, err := in.Enqueue(tb.Events); err != nil {
+				if err := in.Enqueue(tb.Events); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -820,46 +820,41 @@ func BenchmarkFirehose(b *testing.B) {
 // one delivery loop per shard. events_per_sec is the sustained fleet
 // intake rate; the benchgate tracks both variants' ns/op.
 
-func benchFleetCoordinator(b *testing.B, networks int) (*fleet.Coordinator, []string) {
+func benchFleetShards(b *testing.B, networks int) []*fleet.Shard {
 	b.Helper()
-	cfgs := make([]fleet.ShardConfig, networks)
-	names := make([]string, networks)
-	for i := range cfgs {
+	shards := make([]*fleet.Shard, networks)
+	for i := range shards {
 		ev, lib := benchFirehoseLibrary(b)
-		names[i] = fmt.Sprintf("net%d", i)
-		cfgs[i] = fleet.ShardConfig{
-			Network:  names[i],
+		sh, err := fleet.NewShard(fleet.ShardConfig{
+			Network:  fmt.Sprintf("net%d", i),
 			Factory:  func() (*fleet.Controller, error) { return fleet.NewController(ev, lib) },
 			Capacity: 1 << 20,
-			MaxBatch: 1024,
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
+		shards[i] = sh
 	}
-	co, err := fleet.NewCoordinator(cfgs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return co, names
+	return shards
 }
 
 func benchFleetObserve(b *testing.B, networks int) {
-	co, names := benchFleetCoordinator(b, networks)
-	defer co.Close(context.Background())
+	shards := benchFleetShards(b, networks)
+	for _, sh := range shards {
+		defer sh.Close(context.Background())
+	}
 	ev, _ := benchEvaluator(b, 30, 180)
 	batches, total := benchFirehoseStream(b, ev)
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		for j, tb := range batches {
-			if _, err := co.Enqueue(names[j%networks], tb.Events); err != nil {
+			if _, err := shards[j%networks].Enqueue(tb.Events); err != nil {
 				b.Fatal(err)
 			}
 		}
-		for _, name := range names {
-			s, err := co.Shard(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.Quiesce() // every accepted event reaches its controller
+		for _, sh := range shards {
+			sh.Quiesce() // every accepted event reaches its controller
 		}
 	}
 	if d := time.Since(start).Seconds(); d > 0 {

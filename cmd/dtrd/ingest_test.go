@@ -94,7 +94,7 @@ func TestObserveBatchEndpoint(t *testing.T) {
 // counters reconcile exactly with what was offered, and the depth gauge
 // returns to zero once the queue drains.
 func TestObserveBackpressure429(t *testing.T) {
-	ts, _, f := testServerIntake(t, repro.IntakeOptions{Capacity: 4, RetryAfter: 3 * time.Second})
+	ts, _, f := testServerIntake(t, 4, 3*time.Second)
 
 	f.Pause("") // deliveries held: queue depth is fully deterministic
 	ev := func(link int, kind string) repro.ControlEvent { return repro.ControlEvent{Kind: kind, Link: link} }
@@ -251,10 +251,7 @@ func TestServerSoakDrainOnSIGTERM(t *testing.T) {
 			}
 			tapMu.Unlock()
 		},
-	}}, repro.FleetOptions{Intake: repro.IntakeOptions{
-		Capacity: 512,
-		MaxBatch: 64,
-	}})
+	}}, repro.FleetOptions{IntakeCapacity: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

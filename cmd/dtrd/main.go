@@ -67,7 +67,6 @@ type options struct {
 	checkpointInterval time.Duration
 
 	intakeCap   int
-	intakeBatch int
 	intakeRetry time.Duration
 	listen      string
 	replay      bool
@@ -104,7 +103,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.checkpointInterval, "checkpoint-interval", 0, "periodic checkpoint cadence per shard (0: checkpoint only at shutdown and on POST /fleet/checkpoint)")
 
 	fs.IntVar(&o.intakeCap, "intake-cap", 4096, "per-shard intake queue capacity in events; full queues shed whole batches with 429")
-	fs.IntVar(&o.intakeBatch, "intake-batch", 1024, "max events coalesced into one selector delivery")
 	fs.DurationVar(&o.intakeRetry, "intake-retry", time.Second, "Retry-After hint returned with 429 responses")
 	fs.StringVar(&o.listen, "listen", "", "HTTP listen address (e.g. :8484); empty with -replay exits after the replay")
 	fs.BoolVar(&o.replay, "replay", false, "replay each network's scenario day as telemetry before serving")
@@ -154,11 +152,7 @@ func main() {
 	fleet, err := repro.NewFleet(fleetMembers, repro.FleetOptions{
 		CheckpointDir:      o.checkpointDir,
 		CheckpointInterval: o.checkpointInterval,
-		Intake: repro.IntakeOptions{
-			Capacity:   o.intakeCap,
-			MaxBatch:   o.intakeBatch,
-			RetryAfter: o.intakeRetry,
-		},
+		IntakeCapacity:     o.intakeCap,
 	})
 	if err != nil {
 		fatal(err)

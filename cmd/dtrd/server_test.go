@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/obsv"
@@ -20,13 +21,13 @@ import (
 
 func testServer(t *testing.T) (*httptest.Server, *repro.Library, *repro.Fleet) {
 	t.Helper()
-	return testServerIntake(t, repro.IntakeOptions{})
+	return testServerIntake(t, 0, 0)
 }
 
 // testServerIntake builds the standard single-network 8-node test
-// daemon with the shard's intake tuned by opts (backpressure tests
-// shrink the queue).
-func testServerIntake(t *testing.T, opts repro.IntakeOptions) (*httptest.Server, *repro.Library, *repro.Fleet) {
+// daemon with the shard's intake capacity and the 429 Retry-After hint
+// set (backpressure tests shrink the queue; zero takes the defaults).
+func testServerIntake(t *testing.T, capacity int, retryAfter time.Duration) (*httptest.Server, *repro.Library, *repro.Fleet) {
 	t.Helper()
 	// Each test server owns a fresh registry installed as the process
 	// default, so engine-level metrics (spf, routing, ctrl) surface on
@@ -38,12 +39,12 @@ func testServerIntake(t *testing.T, opts repro.IntakeOptions) (*httptest.Server,
 	nw, lib := testEngine(t)
 	f, err := repro.NewFleet(
 		[]repro.FleetMember{{Name: "net0", Net: nw, Library: lib}},
-		repro.FleetOptions{Intake: opts})
+		repro.FleetOptions{IntakeCapacity: capacity})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close(context.Background()) })
-	ts := httptest.NewServer(newServer(f, []member{{name: "net0", net: nw, lib: lib}}, opts.RetryAfter, reg).mux())
+	ts := httptest.NewServer(newServer(f, []member{{name: "net0", net: nw, lib: lib}}, retryAfter, reg).mux())
 	t.Cleanup(ts.Close)
 	return ts, lib, f
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/par"
 	"repro/internal/scenario"
 )
 
@@ -46,27 +47,28 @@ type FleetOptions struct {
 	// CheckpointInterval is the periodic checkpoint cadence per shard
 	// (0: only on demand, at Close, and on SIGTERM drain in cmd/dtrd).
 	CheckpointInterval time.Duration
-	// Intake bounds every member's intake queue (Capacity, MaxBatch,
-	// RetryAfter).
-	Intake IntakeOptions
+	// IntakeCapacity bounds every member's intake queue, in events (not
+	// batches); an Enqueue that would exceed it fails whole with
+	// ErrIntakeFull. Default 4096.
+	IntakeCapacity int
 }
 
 type fleetMember struct {
 	name string
 	net  *Network
 	lib  *Library
+	sh   *fleet.Shard
 }
 
-// Fleet is a sharded multi-network control plane: one controller shard
-// per member network behind a coordinator that routes telemetry by the
+// Fleet is a sharded multi-network control plane: it owns one
+// controller shard per member network and routes telemetry by the
 // events' Network field. Shards run independently — each has its own
 // intake queue, checkpoint and crash recovery; a panic in one never
 // touches the others — and an aggregated view is served by FleetState.
 // All methods are safe for concurrent use.
 type Fleet struct {
-	coord   *fleet.Coordinator
-	order   []string
-	members map[string]*fleetMember
+	members []*fleetMember // configuration order; the first is the default
+	byName  map[string]*fleetMember
 }
 
 var fleetNameRe = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]*$`)
@@ -76,18 +78,19 @@ var fleetNameRe = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]*$`)
 // event-log replay; corrupt checkpoints are archived and the shard
 // cold-starts, with the cause reported in FleetState). The first member
 // is the fleet's default network: events with an empty Network field
-// route to it.
+// route to it. Construction is all-or-nothing: if a shard fails to
+// build, the ones already built are closed.
 func NewFleet(members []FleetMember, opts FleetOptions) (*Fleet, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("repro: fleet needs at least one member")
 	}
-	f := &Fleet{members: make(map[string]*fleetMember, len(members))}
+	f := &Fleet{byName: make(map[string]*fleetMember, len(members))}
 	cfgs := make([]fleet.ShardConfig, 0, len(members))
 	for i, m := range members {
 		if !fleetNameRe.MatchString(m.Name) {
 			return nil, fmt.Errorf("repro: member %d has invalid network name %q", i, m.Name)
 		}
-		if _, dup := f.members[m.Name]; dup {
+		if _, dup := f.byName[m.Name]; dup {
 			return nil, fmt.Errorf("repro: duplicate network name %q", m.Name)
 		}
 		if m.Net == nil || m.Library == nil {
@@ -118,59 +121,59 @@ func NewFleet(members []FleetMember, opts FleetOptions) (*Fleet, error) {
 			Tap:                tap,
 			Dir:                dir,
 			CheckpointInterval: opts.CheckpointInterval,
-			Capacity:           opts.Intake.Capacity,
-			MaxBatch:           opts.Intake.MaxBatch,
-			RetryAfter:         opts.Intake.RetryAfter,
+			Capacity:           opts.IntakeCapacity,
 		})
-		f.order = append(f.order, m.Name)
-		f.members[m.Name] = &fleetMember{name: m.Name, net: net, lib: lib}
+		fm := &fleetMember{name: m.Name, net: net, lib: lib}
+		f.members = append(f.members, fm)
+		f.byName[m.Name] = fm
 	}
-	coord, err := fleet.NewCoordinator(cfgs)
-	if err != nil {
-		return nil, err
+	fleet.Register(f.Networks())
+	for i, m := range f.members {
+		sh, err := fleet.NewShard(cfgs[i])
+		if err != nil {
+			f.members = f.members[:i]
+			f.Close(context.Background())
+			return nil, fmt.Errorf("fleet: shard %s: %w", m.name, err)
+		}
+		m.sh = sh
 	}
-	f.coord = coord
 	return f, nil
 }
 
 // Networks lists the member networks in configuration order; the first
 // is the default network.
 func (f *Fleet) Networks() []string {
-	out := make([]string, len(f.order))
-	copy(out, f.order)
+	out := make([]string, len(f.members))
+	for i, m := range f.members {
+		out[i] = m.name
+	}
 	return out
 }
 
 // DefaultNetwork returns the name events with an empty Network route to.
-func (f *Fleet) DefaultNetwork() string { return f.order[0] }
+func (f *Fleet) DefaultNetwork() string { return f.members[0].name }
 
 // Library returns the named network's configuration library ("" = the
 // default network).
 func (f *Fleet) Library(network string) (*Library, error) {
-	m, _, err := f.resolve(network)
+	m, err := f.resolve(network)
 	if err != nil {
 		return nil, err
 	}
 	return m.lib, nil
 }
 
-// resolve maps a network name ("" = default) to its member and shard.
-func (f *Fleet) resolve(network string) (*fleetMember, *fleet.Shard, error) {
+// resolve maps a network name ("" = default) to its member; an unknown
+// name is counted and rejected with an error naming the known networks.
+func (f *Fleet) resolve(network string) (*fleetMember, error) {
 	if network == "" {
-		network = f.order[0]
+		return f.members[0], nil
 	}
-	m, ok := f.members[network]
+	m, ok := f.byName[network]
 	if !ok {
-		// Count the rejection through the coordinator's unknown-network
-		// metric and reuse its error (it names the known networks).
-		_, err := f.coord.Shard(network)
-		return nil, nil, err
+		return nil, fleet.UnknownNetwork(network, f.Networks())
 	}
-	sh, err := f.coord.Shard(network)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, sh, nil
+	return m, nil
 }
 
 // FleetIntakeResult reports a fleet Enqueue: events admitted across all
@@ -198,14 +201,13 @@ func (f *Fleet) Enqueue(events []ControlEvent) (FleetIntakeResult, error) {
 		return res, nil
 	}
 	type group struct {
-		name string
-		sh   *fleet.Shard
-		evs  []scenario.Event
+		m   *fleetMember
+		evs []scenario.Event
 	}
-	byName := make(map[string]*group)
+	byMember := make(map[*fleetMember]*group)
 	var groups []*group
 	for i, e := range events {
-		m, sh, err := f.resolve(e.Network)
+		m, err := f.resolve(e.Network)
 		if err != nil {
 			return res, fmt.Errorf("event %d: %w", i, err)
 		}
@@ -213,29 +215,29 @@ func (f *Fleet) Enqueue(events []ControlEvent) (FleetIntakeResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("event %d: %w", i, err)
 		}
-		g := byName[m.name]
+		g := byMember[m]
 		if g == nil {
-			g = &group{name: m.name, sh: sh}
-			byName[m.name] = g
+			g = &group{m: m}
+			byMember[m] = g
 			groups = append(groups, g)
 		}
 		g.evs = append(g.evs, ev)
 	}
 	var full, down bool
 	for _, g := range groups {
-		r, err := g.sh.Enqueue(g.evs)
+		seq, err := g.m.sh.Enqueue(g.evs)
 		switch {
 		case err == nil:
-			res.Accepted += r.Accepted
-			res.LastSeq[g.name] = r.LastSeq
+			res.Accepted += len(g.evs)
+			res.LastSeq[g.m.name] = seq
 		case errors.Is(err, ErrIntakeFull):
-			res.Shed = append(res.Shed, g.name)
+			res.Shed = append(res.Shed, g.m.name)
 			full = true
 		case errors.Is(err, ErrShardDown):
-			res.Down = append(res.Down, g.name)
+			res.Down = append(res.Down, g.m.name)
 			down = true
 		default:
-			return res, fmt.Errorf("network %s: %w", g.name, err)
+			return res, fmt.Errorf("network %s: %w", g.m.name, err)
 		}
 	}
 	if full {
@@ -249,11 +251,11 @@ func (f *Fleet) Enqueue(events []ControlEvent) (FleetIntakeResult, error) {
 
 // controller returns the live controller core of a network's shard.
 func (f *Fleet) controller(network string) (*fleet.Controller, error) {
-	_, sh, err := f.resolve(network)
+	m, err := f.resolve(network)
 	if err != nil {
 		return nil, err
 	}
-	return sh.Controller()
+	return m.sh.Controller()
 }
 
 // Advise scores the named network's configurations under its current
@@ -310,7 +312,7 @@ func (f *Fleet) State(network string) (ControllerState, error) {
 // recovery replays it too — and waits for delivery. The set must have
 // been built from the member's network.
 func (f *Fleet) ReplayEpisode(network string, set *ScenarioSet, i int, onset bool) error {
-	m, sh, err := f.resolve(network)
+	m, err := f.resolve(network)
 	if err != nil {
 		return err
 	}
@@ -325,17 +327,17 @@ func (f *Fleet) ReplayEpisode(network string, set *ScenarioSet, i int, onset boo
 	if !onset {
 		events = ep.Recovery
 	}
-	return sh.Feed(events)
+	return m.sh.Feed(events)
 }
 
 // Pause holds the named network's deliveries until Resume ("" = the
 // default network). Queued events accumulate.
 func (f *Fleet) Pause(network string) error {
-	_, sh, err := f.resolve(network)
+	m, err := f.resolve(network)
 	if err != nil {
 		return err
 	}
-	return sh.Pause()
+	return m.sh.Pause()
 }
 
 // PauseAll pauses every shard.
@@ -343,11 +345,11 @@ func (f *Fleet) PauseAll() error { return f.eachShard((*fleet.Shard).Pause) }
 
 // Resume restarts the named network's deliveries after Pause.
 func (f *Fleet) Resume(network string) error {
-	_, sh, err := f.resolve(network)
+	m, err := f.resolve(network)
 	if err != nil {
 		return err
 	}
-	return sh.Resume()
+	return m.sh.Resume()
 }
 
 // ResumeAll resumes every shard.
@@ -356,20 +358,18 @@ func (f *Fleet) ResumeAll() error { return f.eachShard((*fleet.Shard).Resume) }
 // Quiesce blocks until every event accepted by the named network's
 // shard has reached its controller ("" = the default network).
 func (f *Fleet) Quiesce(network string) error {
-	_, sh, err := f.resolve(network)
+	m, err := f.resolve(network)
 	if err != nil {
 		return err
 	}
-	sh.Quiesce()
+	m.sh.Quiesce()
 	return nil
 }
 
 // QuiesceAll quiesces every shard.
 func (f *Fleet) QuiesceAll() {
-	for _, name := range f.order {
-		if sh, err := f.coord.Shard(name); err == nil {
-			sh.Quiesce()
-		}
+	for _, m := range f.members {
+		m.sh.Quiesce()
 	}
 }
 
@@ -377,27 +377,27 @@ func (f *Fleet) QuiesceAll() {
 // its snapshot ("" = the default network). Fails without a
 // CheckpointDir.
 func (f *Fleet) Checkpoint(network string) error {
-	_, sh, err := f.resolve(network)
+	m, err := f.resolve(network)
 	if err != nil {
 		return err
 	}
-	return sh.Checkpoint()
+	return m.sh.Checkpoint()
 }
 
 // CheckpointAll checkpoints every shard, continuing past failures and
 // returning them joined.
-func (f *Fleet) CheckpointAll() error { return f.coord.CheckpointAll() }
+func (f *Fleet) CheckpointAll() error { return f.eachShard((*fleet.Shard).Checkpoint) }
 
 // Kill condemns the named network's controller and rebuilds it from its
 // checkpoint synchronously, exactly as a delivery panic would — a
 // forced restore drill ("" = the default network). Without a
 // CheckpointDir the shard cold-starts.
 func (f *Fleet) Kill(network string) error {
-	_, sh, err := f.resolve(network)
+	m, err := f.resolve(network)
 	if err != nil {
 		return err
 	}
-	sh.Kill()
+	m.sh.Kill()
 	return nil
 }
 
@@ -406,15 +406,15 @@ func (f *Fleet) Kill(network string) error {
 // before the controller sees the events (nil removes it). Tests use it
 // to inject crashes and audit delivery.
 func (f *Fleet) SetDeliveryHook(network string, fn func(labels []string)) error {
-	_, sh, err := f.resolve(network)
+	m, err := f.resolve(network)
 	if err != nil {
 		return err
 	}
 	if fn == nil {
-		sh.SetDeliveryHook(nil)
+		m.sh.SetDeliveryHook(nil)
 		return nil
 	}
-	sh.SetDeliveryHook(func(events []scenario.Event) {
+	m.sh.SetDeliveryHook(func(events []scenario.Event) {
 		labels := make([]string, len(events))
 		for i := range events {
 			labels[i] = events[i].Label
@@ -426,12 +426,8 @@ func (f *Fleet) SetDeliveryHook(network string, fn func(labels []string)) error 
 
 func (f *Fleet) eachShard(op func(*fleet.Shard) error) error {
 	var errs []error
-	for _, name := range f.order {
-		sh, err := f.coord.Shard(name)
-		if err == nil {
-			err = op(sh)
-		}
-		if err != nil {
+	for _, m := range f.members {
+		if err := op(m.sh); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -488,8 +484,9 @@ type FleetState struct {
 
 // FleetState snapshots every shard and the rolled-up totals.
 func (f *Fleet) FleetState() FleetState {
-	out := FleetState{Networks: f.Networks(), Default: f.order[0]}
-	for _, st := range f.coord.Status() {
+	out := FleetState{Networks: f.Networks(), Default: f.DefaultNetwork()}
+	for _, m := range f.members {
+		st := m.sh.Status()
 		s := FleetShardState{
 			Network:           st.Network,
 			State:             string(st.State),
@@ -503,16 +500,14 @@ func (f *Fleet) FleetState() FleetState {
 			RestoreError:      st.RestoreError,
 			LogError:          st.LogError,
 		}
-		if sh, err := f.coord.Shard(st.Network); err == nil {
-			if c, err := sh.Controller(); err == nil {
-				cs := c.State()
-				s.Up = true
-				s.Events = cs.Events
-				s.Active = cs.Active
-				s.ActiveName = cs.ActiveName
-				s.DownLinks = cs.DownLinks
-				s.Deployed = toEval(&cs.Deployed)
-			}
+		if c, err := m.sh.Controller(); err == nil {
+			cs := c.State()
+			s.Up = true
+			s.Events = cs.Events
+			s.Active = cs.Active
+			s.ActiveName = cs.ActiveName
+			s.DownLinks = cs.DownLinks
+			s.Deployed = toEval(&cs.Deployed)
 		}
 		out.Shards = append(out.Shards, s)
 		out.TotalAccepted += st.Intake.Accepted
@@ -526,10 +521,19 @@ func (f *Fleet) FleetState() FleetState {
 
 // RefreshMetrics updates every shard's intake gauges; the daemon calls
 // it at metrics scrape.
-func (f *Fleet) RefreshMetrics() { f.coord.RefreshMetrics() }
+func (f *Fleet) RefreshMetrics() {
+	for _, m := range f.members {
+		m.sh.RefreshMetrics()
+	}
+}
 
 // Close stops admissions on every shard, drains everything already
 // accepted, flushes a final checkpoint per durable healthy shard, and
 // waits for completion or ctx to expire — the fleet half of the
-// daemon's two-stage SIGTERM drain.
-func (f *Fleet) Close(ctx context.Context) error { return f.coord.Close(ctx) }
+// daemon's two-stage SIGTERM drain. Shards drain concurrently; their
+// errors come back joined.
+func (f *Fleet) Close(ctx context.Context) error {
+	errs := make([]error, len(f.members))
+	par.Do(len(f.members), len(f.members), func(_, i int) { errs[i] = f.members[i].sh.Close(ctx) })
+	return errors.Join(errs...)
+}

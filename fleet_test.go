@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/ctrl"
+	"repro/internal/obsv"
 )
 
 // fleetTestMembers builds a two-network fleet declaration with distinct
@@ -64,7 +67,24 @@ func TestFleetRoutingByNetworkField(t *testing.T) {
 	if res.LastSeq["east"] != 3 || res.LastSeq["west"] != 1 {
 		t.Fatalf("LastSeq = %v", res.LastSeq)
 	}
+	// Each shard numbers its own admissions; a batch for one network
+	// leaves its neighbour untouched.
+	res, err = f.Enqueue([]ControlEvent{
+		{Kind: "link-down", Link: 4, Network: "east"},
+		{Kind: "link-up", Link: 4, Network: "east"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.LastSeq) != 1 || res.LastSeq["east"] != 5 {
+		t.Fatalf("east-only batch: LastSeq = %v, want map[east:5]", res.LastSeq)
+	}
 	f.QuiesceAll()
+	for _, sh := range f.FleetState().Shards {
+		if want := map[string]uint64{"east": 5, "west": 1}[sh.Network]; sh.Seq != want || sh.Intake.Accepted != want {
+			t.Fatalf("%s: seq %d, accepted %d, want %d", sh.Network, sh.Seq, sh.Intake.Accepted, want)
+		}
+	}
 
 	east, err := f.State("east")
 	if err != nil {
@@ -91,6 +111,9 @@ func TestFleetRoutingByNetworkField(t *testing.T) {
 }
 
 func TestFleetRejectsWholeBatchUpfront(t *testing.T) {
+	reg := obsv.NewRegistry()
+	obsv.SetDefault(reg)
+	defer obsv.SetDefault(nil)
 	f, err := NewFleet(fleetTestMembers(t), FleetOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -107,6 +130,15 @@ func TestFleetRejectsWholeBatchUpfront(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "event 1") {
 		t.Fatalf("error %q does not locate the offending event", err)
+	}
+	if !strings.Contains(err.Error(), "east") || !strings.Contains(err.Error(), "west") {
+		t.Fatalf("error %q does not name the known networks", err)
+	}
+	if _, err := f.Advise("mars"); !errors.Is(err, ErrUnknownNetwork) {
+		t.Fatalf("Advise(mars) error = %v, want ErrUnknownNetwork", err)
+	}
+	if n := reg.Counter("fleet_unknown_network_total", "").Value(); n != 2 {
+		t.Fatalf("fleet_unknown_network_total = %d, want 2", n)
 	}
 	// Malformed event: same upfront rejection.
 	if _, err := f.Enqueue([]ControlEvent{
@@ -126,7 +158,7 @@ func TestFleetRejectsWholeBatchUpfront(t *testing.T) {
 
 func TestFleetBackpressurePerShard(t *testing.T) {
 	f, err := NewFleet(fleetTestMembers(t), FleetOptions{
-		Intake: IntakeOptions{Capacity: 4},
+		IntakeCapacity: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -297,6 +329,18 @@ func TestFleetValidation(t *testing.T) {
 	cross := FleetMember{Name: "x", Net: members[0].Net, Library: members[1].Library}
 	if _, err := NewFleet([]FleetMember{cross}, FleetOptions{}); err == nil || !strings.Contains(err.Error(), "different network") {
 		t.Errorf("cross-network library error = %v", err)
+	}
+	// A shard whose controller factory fails sinks the whole fleet, and
+	// the shards already built are closed: east's drain flushes its
+	// final checkpoint.
+	dir := t.TempDir()
+	broken := members[1]
+	broken.Library = &Library{lib: &ctrl.Library{}, net: broken.Net}
+	if _, err := NewFleet([]FleetMember{members[0], broken}, FleetOptions{CheckpointDir: dir}); err == nil || !strings.Contains(err.Error(), "fleet: shard west") {
+		t.Errorf("failing factory error = %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "east", "snapshot.json")); err != nil {
+		t.Errorf("east was not closed after west failed to build: %v", err)
 	}
 }
 

@@ -1,10 +1,6 @@
 package repro
 
-import (
-	"time"
-
-	"repro/internal/ingest"
-)
+import "repro/internal/ingest"
 
 // ErrIntakeFull is returned by Fleet.Enqueue when admitting a network's
 // sub-batch would overflow that shard's intake queue. The whole
@@ -17,21 +13,6 @@ var ErrIntakeFull = ingest.ErrFull
 // ErrIntakeClosed is returned by Fleet.Enqueue for a shard whose intake
 // queue has begun closing.
 var ErrIntakeClosed = ingest.ErrClosed
-
-// IntakeOptions bounds and tunes every shard's intake queue
-// (FleetOptions.Intake).
-type IntakeOptions struct {
-	// Capacity is the maximum number of queued events (not batches);
-	// an Enqueue that would exceed it fails whole with ErrIntakeFull.
-	// Default 4096.
-	Capacity int
-	// MaxBatch caps the events coalesced into one selector delivery.
-	// Default 1024.
-	MaxBatch int
-	// RetryAfter is the backpressure hint surfaced to shed producers.
-	// Default 1s.
-	RetryAfter time.Duration
-}
 
 // IntakeStats is a consistent snapshot of a shard's intake counters
 // (FleetShardState.Intake); Accepted + Shed equals the events offered, and

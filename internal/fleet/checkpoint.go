@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -120,7 +119,6 @@ type Store struct {
 	dir      string
 	mu       sync.Mutex
 	log      *os.File
-	logBuf   *bufio.Writer
 	snapPath string
 	logPath  string
 }
@@ -148,7 +146,6 @@ func (st *Store) openLog() error {
 		return fmt.Errorf("fleet: open event log: %w", err)
 	}
 	st.log = f
-	st.logBuf = bufio.NewWriter(f)
 	return nil
 }
 
@@ -176,9 +173,9 @@ func (st *Store) WriteSnapshot(s *Snapshot) error {
 }
 
 // Append logs a batch of admitted events, one JSONL record per event,
-// with sequence numbers seq, seq+1, …. The whole batch is flushed to
-// the OS in one write, in admission order, so the log replays in
-// exactly the order the intake delivered.
+// with sequence numbers seq, seq+1, …. The whole batch reaches the OS
+// in one write, in admission order, so the log replays in exactly the
+// order the intake delivered.
 func (st *Store) Append(seq uint64, events []scenario.Event) error {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -192,11 +189,8 @@ func (st *Store) Append(seq uint64, events []scenario.Event) error {
 	if st.log == nil {
 		return fmt.Errorf("fleet: event log closed")
 	}
-	if _, err := st.logBuf.Write(buf.Bytes()); err != nil {
+	if _, err := st.log.Write(buf.Bytes()); err != nil {
 		return fmt.Errorf("fleet: append event log: %w", err)
-	}
-	if err := st.logBuf.Flush(); err != nil {
-		return fmt.Errorf("fleet: flush event log: %w", err)
 	}
 	return nil
 }
@@ -208,7 +202,6 @@ func (st *Store) ResetLog() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.log != nil {
-		st.logBuf.Flush()
 		st.log.Close()
 	}
 	if err := os.Remove(st.logPath); err != nil && !os.IsNotExist(err) {
@@ -246,9 +239,6 @@ func (st *Store) Load() (*Snapshot, []LogRecord, error) {
 		if snap.Deployed == nil {
 			return nil, nil, fmt.Errorf("%w: snapshot %s has no deployed weights", ErrCorrupt, st.snapPath)
 		}
-	}
-	if err := st.logBuf.Flush(); err != nil {
-		return nil, nil, fmt.Errorf("fleet: flush event log: %w", err)
 	}
 	raw, err := os.ReadFile(st.logPath)
 	if err != nil && !os.IsNotExist(err) {
@@ -315,7 +305,6 @@ func (st *Store) Discard() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.log != nil {
-		st.logBuf.Flush()
 		st.log.Close()
 		st.log = nil
 	}
@@ -329,17 +318,14 @@ func (st *Store) Discard() error {
 	return st.openLog()
 }
 
-// Close flushes and closes the event log.
+// Close closes the event log.
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.log == nil {
 		return nil
 	}
-	err := st.logBuf.Flush()
-	if cerr := st.log.Close(); err == nil {
-		err = cerr
-	}
+	err := st.log.Close()
 	st.log = nil
 	return err
 }

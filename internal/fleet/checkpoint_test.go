@@ -6,7 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // populateCheckpoint writes a realistic checkpoint — a mid-stream
@@ -279,4 +282,67 @@ func TestSnapshotLibraryMismatch(t *testing.T) {
 	if !strings.Contains(stat.RestoreError, "library") {
 		t.Fatalf("RestoreError %q does not explain the library mismatch", stat.RestoreError)
 	}
+}
+
+// TestCloseCutShortKeepsLog: a Close whose drain ctx cuts short must not
+// commit a final checkpoint. The controller has not seen every admitted
+// event, and a snapshot claiming them would drop them along with the
+// log; the reopened shard instead replays the log and matches an
+// uninterrupted twin.
+func TestCloseCutShortKeepsLog(t *testing.T) {
+	ev := testEvaluator(t, 8, 40, 5)
+	lib := testLibrary(t, ev, 3, 6)
+	twinEv := testEvaluator(t, 8, 40, 5)
+	twin, err := NewController(twinEv, testLibrary(t, twinEv, 3, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ShardConfig{
+		Network: "net0",
+		Factory: func() (*Controller, error) { return NewController(ev, lib) },
+		Dir:     t.TempDir(),
+	}
+	sh, err := NewShard(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold the first delivery inside the shard so the drain cannot finish.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	sh.SetDeliveryHook(func([]scenario.Event) {
+		once.Do(func() { close(entered) })
+		<-release
+	})
+	stream := eventStream(ev, 12, 7)
+	if _, err := sh.Enqueue(stream[:6]); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	if _, err := sh.Enqueue(stream[6:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.ObserveBatch(stream, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := sh.Close(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Close with a cancelled drain = %v, want context.Canceled", err)
+	}
+	close(release)
+	sh.Quiesce() // the old queue finishes draining before the reopen
+
+	sh2, err := NewShard(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh2.Close(context.Background())
+	if st := sh2.Status(); st.Seq != 12 || st.Replayed != 12 || st.ColdStart {
+		t.Fatalf("reopened shard %+v, want seq 12 with all 12 events replayed", st)
+	}
+	c, err := sh2.Controller()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameState(t, twin, c, "after a cut-short close")
 }

@@ -1,8 +1,8 @@
-// Package fleet shards the online control plane across networks: a
-// Coordinator owns one controller Shard per network/region and routes
-// telemetry to shards by network name, so capacity scales by adding
-// shards and a failure in one network's controller never touches the
-// others.
+// Package fleet shards the online control plane across networks: one
+// controller Shard per network/region, which the repro facade's Fleet
+// owns and routes telemetry to by network name, so capacity scales by
+// adding shards and a failure in one network's controller never touches
+// the others.
 //
 // Each Shard wraps a Controller — the per-network control-plane core
 // (event-driven ctrl.Selector, deployed weights, bounded-change

@@ -5,8 +5,9 @@ import "repro/internal/obsv"
 // metrics is the package's handle bundle against the default obsv
 // registry; met.Get() is nil (one atomic load) while telemetry is off.
 // Per-network handles are looked up per use — registration is
-// idempotent and the coordinator registers every family eagerly at
-// construction, so the scrape surface is complete before any traffic.
+// idempotent and the fleet registers every family eagerly (Register)
+// before building its shards, so the scrape surface is complete before
+// any traffic.
 type metrics struct {
 	reg     *obsv.Registry
 	shards  *obsv.Gauge
@@ -29,7 +30,7 @@ var met = obsv.NewView(func(r *obsv.Registry) *metrics {
 	return &metrics{
 		reg: r,
 		shards: r.Gauge("fleet_shards",
-			"Controller shards owned by the fleet coordinator."),
+			"Controller shards owned by the fleet."),
 		unknown: r.Counter("fleet_unknown_network_total",
 			"Telemetry batches rejected because they named no known network."),
 		ckptSec: r.Histogram("fleet_checkpoint_seconds",
@@ -69,10 +70,10 @@ func (m *metrics) logErrors(network string) *obsv.Counter {
 	return m.reg.Counter("fleet_log_errors_total", helpLogErrors, obsv.L("network", network))
 }
 
-// register eagerly creates every per-network family for the given
+// Register eagerly creates every per-network family for the given
 // networks, so the metric surface is complete (and the README drift
 // test can see it) before any event, crash or checkpoint happens.
-func register(networks []string) {
+func Register(networks []string) {
 	m := met.Get()
 	if m == nil {
 		return

@@ -17,6 +17,19 @@ import (
 // the daemon surfaces it as HTTP 503.
 var ErrShardDown = errors.New("fleet: shard down")
 
+// ErrUnknownNetwork rejects telemetry naming a network no shard serves.
+var ErrUnknownNetwork = errors.New("fleet: unknown network")
+
+// UnknownNetwork counts a rejected network name in
+// fleet_unknown_network_total and returns the ErrUnknownNetwork error
+// that names the known networks.
+func UnknownNetwork(network string, known []string) error {
+	if m := met.Get(); m != nil {
+		m.unknown.Inc()
+	}
+	return fmt.Errorf("%w: %q (have %v)", ErrUnknownNetwork, network, known)
+}
+
 // ShardState names a shard's lifecycle state.
 type ShardState string
 
@@ -52,11 +65,9 @@ type ShardConfig struct {
 	// CheckpointInterval is the periodic checkpoint cadence (0 disables
 	// the timer; checkpoints then happen only on demand and at Close).
 	CheckpointInterval time.Duration
-	// Capacity, MaxBatch and RetryAfter bound the shard's intake queue
-	// (see ingest.Config; zero values take the ingest defaults).
-	Capacity   int
-	MaxBatch   int
-	RetryAfter time.Duration
+	// Capacity bounds the shard's intake queue in events (see
+	// ingest.Config; zero takes the ingest default).
+	Capacity int
 	// Tap, when set, observes every delivered batch before coalescing
 	// (see ingest.Config.Tap). Living in the config, it survives crash
 	// rebuilds of the intake queue.
@@ -144,12 +155,7 @@ func (s *Shard) build() error {
 	}
 	s.ctrl = c
 	s.sink = &shardSink{s: s, c: c}
-	s.intake = ingest.New(ingest.Config{
-		Capacity:   s.cfg.Capacity,
-		MaxBatch:   s.cfg.MaxBatch,
-		RetryAfter: s.cfg.RetryAfter,
-		Tap:        s.cfg.Tap,
-	}, s.sink)
+	s.intake = ingest.New(ingest.Config{Capacity: s.cfg.Capacity, Tap: s.cfg.Tap}, s.sink)
 	return nil
 }
 
@@ -252,30 +258,29 @@ func (s *Shard) deliveryHook() func([]scenario.Event) {
 // acknowledging. Accepted events are delivered to the controller
 // asynchronously, in order; ErrFull sheds the batch under backpressure,
 // ErrShardDown rejects it while a crash restart is in progress, and a
-// validation error rejects it before admission. LastSeq in the result
-// is the shard-wide sequence number of the last admitted event, stable
-// across restarts.
-func (s *Shard) Enqueue(events []scenario.Event) (ingest.Result, error) {
+// validation error rejects it before admission. lastSeq is the
+// shard-wide sequence number of the last admitted event, stable across
+// restarts.
+func (s *Shard) Enqueue(events []scenario.Event) (lastSeq uint64, err error) {
 	if len(events) == 0 {
-		return ingest.Result{}, nil
+		return 0, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch s.state {
 	case StateRunning, StatePaused:
 	case StateRestarting, StateFailed:
-		return ingest.Result{}, fmt.Errorf("%w: %s is %s", ErrShardDown, s.cfg.Network, s.state)
+		return 0, fmt.Errorf("%w: %s is %s", ErrShardDown, s.cfg.Network, s.state)
 	default:
-		return ingest.Result{}, ingest.ErrClosed
+		return 0, ingest.ErrClosed
 	}
 	for i := range events {
 		if err := s.ctrl.Validate(events[i]); err != nil {
-			return ingest.Result{}, fmt.Errorf("event %d: %w", i, err)
+			return 0, fmt.Errorf("event %d: %w", i, err)
 		}
 	}
-	res, err := s.intake.Enqueue(events)
-	if err != nil {
-		return res, err
+	if err := s.intake.Enqueue(events); err != nil {
+		return 0, err
 	}
 	if s.store != nil {
 		if lerr := s.store.Append(s.seq+1, events); lerr != nil {
@@ -292,7 +297,7 @@ func (s *Shard) Enqueue(events []scenario.Event) (ingest.Result, error) {
 	if m := met.Get(); m != nil {
 		m.events(s.cfg.Network).Add(int64(len(events)))
 	}
-	return ingest.Result{Accepted: res.Accepted, LastSeq: s.seq}, nil
+	return s.seq, nil
 }
 
 // Feed admits a batch and waits until it has been delivered — the
@@ -392,8 +397,21 @@ func (s *Shard) checkpointLocked() error {
 	if s.sink.dead.Load() {
 		return fmt.Errorf("fleet: shard %s crashed during checkpoint; restart pending", s.cfg.Network)
 	}
-	snap := s.ctrl.Snapshot(s.cfg.Network, s.seq)
-	if err := s.store.WriteSnapshot(snap); err != nil {
+	if err := s.commitLocked(); err != nil {
+		return err
+	}
+	if m := met.Get(); m != nil {
+		m.ckptSec.Observe(time.Since(t0).Seconds())
+	}
+	return nil
+}
+
+// commitLocked commits one checkpoint: it replaces the snapshot with
+// the controller's state at the current sequence and resets the event
+// log, whose records the snapshot now covers. Callers hold mu with the
+// queue drained.
+func (s *Shard) commitLocked() error {
+	if err := s.store.WriteSnapshot(s.ctrl.Snapshot(s.cfg.Network, s.seq)); err != nil {
 		return err
 	}
 	if err := s.store.ResetLog(); err != nil {
@@ -403,7 +421,6 @@ func (s *Shard) checkpointLocked() error {
 	s.ckptSeq = s.seq
 	if m := met.Get(); m != nil {
 		m.checkpoints(s.cfg.Network).Inc()
-		m.ckptSec.Observe(time.Since(t0).Seconds())
 	}
 	return nil
 }
@@ -528,10 +545,11 @@ func (s *Shard) RefreshMetrics() {
 }
 
 // Close stops admissions, drains everything already accepted, flushes a
-// final checkpoint (when durable and the controller is healthy), and
-// releases the store. A crashed shard skips the final checkpoint — its
-// pre-crash snapshot plus the event log already cover every admitted
-// event, and the next boot replays them.
+// final checkpoint (when durable, the controller is healthy and the
+// drain delivered everything), and releases the store. A crashed shard,
+// or one whose drain ctx cut short, skips the final checkpoint — its
+// last snapshot plus the event log already cover every admitted event,
+// and the next boot replays them.
 func (s *Shard) Close(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -556,19 +574,8 @@ func (s *Shard) Close(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.store != nil {
-		if healthy && sink != nil && !sink.dead.Load() {
-			snap := s.ctrl.Snapshot(s.cfg.Network, s.seq)
-			if werr := s.store.WriteSnapshot(snap); werr == nil {
-				if rerr := s.store.ResetLog(); rerr == nil {
-					s.checkpoints++
-					s.ckptSeq = s.seq
-					if m := met.Get(); m != nil {
-						m.checkpoints(s.cfg.Network).Inc()
-					}
-				}
-			} else if err == nil {
-				err = werr
-			}
+		if err == nil && healthy && sink != nil && !sink.dead.Load() {
+			err = s.commitLocked()
 		}
 		if cerr := s.store.Close(); err == nil {
 			err = cerr

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,9 +13,12 @@ import (
 	"repro/internal/scenario"
 )
 
-func testCoordinator(t *testing.T, networks []string, dir string) (*Coordinator, map[string]*Controller) {
+// testShards builds one shard per network, each on its own seeded
+// topology, plus an uninterrupted twin controller per network on an
+// identical copy of that topology; the shards close at cleanup.
+func testShards(t *testing.T, networks []string, dir string) (map[string]*Shard, map[string]*Controller) {
 	t.Helper()
-	cfgs := make([]ShardConfig, len(networks))
+	shards := make(map[string]*Shard, len(networks))
 	twins := make(map[string]*Controller, len(networks))
 	for i, name := range networks {
 		seed := int64(40 + i)
@@ -29,53 +31,21 @@ func testCoordinator(t *testing.T, networks []string, dir string) (*Coordinator,
 			t.Fatal(err)
 		}
 		twins[name] = twin
-		cfgs[i] = ShardConfig{
+		cfg := ShardConfig{
 			Network: name,
 			Factory: func() (*Controller, error) { return NewController(ev, lib) },
 		}
 		if dir != "" {
-			cfgs[i].Dir = dir + "/" + name
+			cfg.Dir = dir + "/" + name
 		}
+		sh, err := NewShard(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sh.Close(context.Background()) })
+		shards[name] = sh
 	}
-	coord, err := NewCoordinator(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { coord.Close(context.Background()) })
-	return coord, twins
-}
-
-// TestCoordinatorRouting proves events land on the shard they name and
-// unknown networks are rejected without touching any shard.
-func TestCoordinatorRouting(t *testing.T) {
-	coord, _ := testCoordinator(t, []string{"alpha", "beta"}, "")
-	if got := coord.Networks(); len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
-		t.Fatalf("Networks() = %v", got)
-	}
-	evA := testEvaluator(t, 8, 40, 40)
-	if _, err := coord.Enqueue("alpha", eventStream(evA, 5, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := coord.Enqueue("nope", eventStream(evA, 1, 1)); !errors.Is(err, ErrUnknownNetwork) {
-		t.Fatalf("unknown network error = %v", err)
-	} else if !strings.Contains(err.Error(), "alpha") {
-		t.Fatalf("unknown-network error %q does not name the known networks", err)
-	}
-	sh, err := coord.Shard("alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh.Quiesce()
-	if st := sh.Status(); st.Seq != 5 {
-		t.Fatalf("alpha seq = %d, want 5", st.Seq)
-	}
-	shB, err := coord.Shard("beta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := shB.Status(); st.Seq != 0 {
-		t.Fatalf("beta saw %d events, want 0", st.Seq)
-	}
+	return shards, twins
 }
 
 // TestCrashIsolation is the fleet's blast-radius proof, run under
@@ -85,14 +55,11 @@ func TestCoordinatorRouting(t *testing.T) {
 // cannot take down the fleet.
 func TestCrashIsolation(t *testing.T) {
 	networks := []string{"alpha", "beta", "gamma"}
-	coord, _ := testCoordinator(t, networks, t.TempDir())
+	shards, _ := testShards(t, networks, t.TempDir())
 
 	// Poison pill: the beta shard's delivery path panics whenever a
 	// batch carries the boom label.
-	shB, err := coord.Shard("beta")
-	if err != nil {
-		t.Fatal(err)
-	}
+	shB := shards["beta"]
 	var booms atomic.Int64
 	shB.SetDeliveryHook(func(events []scenario.Event) {
 		for _, e := range events {
@@ -119,7 +86,7 @@ func TestCrashIsolation(t *testing.T) {
 					batch[0].Label = "boom"
 				}
 				for {
-					_, err := coord.Enqueue(name, batch)
+					_, err := shards[name].Enqueue(batch)
 					switch {
 					case err == nil:
 					case errors.Is(err, ErrShardDown), errors.Is(err, ingest.ErrFull):
@@ -139,12 +106,7 @@ func TestCrashIsolation(t *testing.T) {
 				}
 				// Readers on healthy shards must always be served.
 				if name != "beta" {
-					sh, err := coord.Shard(name)
-					if err != nil {
-						errCh <- fmt.Errorf("%s: %w", name, err)
-						return
-					}
-					if _, err := sh.Controller(); err != nil {
+					if _, err := shards[name].Controller(); err != nil {
 						errCh <- fmt.Errorf("%s controller: %w", name, err)
 						return
 					}
@@ -168,7 +130,7 @@ func TestCrashIsolation(t *testing.T) {
 			t.Fatal("poison batches never fired: crash isolation untested")
 		}
 		boom := []scenario.Event{{Kind: scenario.EventLinkDown, Link: 0, Label: "boom"}}
-		if _, err := coord.Enqueue("beta", boom); err != nil {
+		if _, err := shB.Enqueue(boom); err != nil {
 			time.Sleep(time.Millisecond)
 			continue
 		}
@@ -178,7 +140,7 @@ func TestCrashIsolation(t *testing.T) {
 	// A delivery panic spawns the restart asynchronously; until that
 	// goroutine runs, the shard still reads as running with zero crashes.
 	// Wait for beta to register the crash before judging fleet health, or
-	// the pending restart trips CheckpointAll below.
+	// the pending restart trips the checkpoints below.
 	for i := 0; shB.Status().Crashes == 0; i++ {
 		if i >= 1000 {
 			t.Fatalf("beta never registered its crash: %+v", shB.Status())
@@ -189,8 +151,9 @@ func TestCrashIsolation(t *testing.T) {
 	// Let beta finish restarting, then verify the whole fleet is healthy
 	// and beta actually crashed and recovered.
 	shB.SetDeliveryHook(nil)
-	deadlineWait(t, coord)
-	for _, st := range coord.Status() {
+	deadlineWait(t, shards)
+	for _, sh := range shards {
+		st := sh.Status()
 		if st.State != StateRunning {
 			t.Errorf("%s: state %s after the storm", st.Network, st.State)
 		}
@@ -207,19 +170,21 @@ func TestCrashIsolation(t *testing.T) {
 			}
 		}
 	}
-	if err := coord.CheckpointAll(); err != nil {
-		t.Fatalf("post-storm CheckpointAll: %v", err)
+	for name, sh := range shards {
+		if err := sh.Checkpoint(); err != nil {
+			t.Fatalf("post-storm checkpoint of %s: %v", name, err)
+		}
 	}
 }
 
 // deadlineWait blocks until every shard reports running (restarts are
 // asynchronous after a delivery panic).
-func deadlineWait(t *testing.T, coord *Coordinator) {
+func deadlineWait(t *testing.T, shards map[string]*Shard) {
 	t.Helper()
 	for i := 0; i < 1000; i++ {
 		running := true
-		for _, st := range coord.Status() {
-			if st.State != StateRunning {
+		for _, sh := range shards {
+			if sh.Status().State != StateRunning {
 				running = false
 			}
 		}
@@ -228,46 +193,29 @@ func deadlineWait(t *testing.T, coord *Coordinator) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("fleet never settled: %+v", coord.Status())
+	for name, sh := range shards {
+		t.Errorf("%s: %+v", name, sh.Status())
+	}
+	t.Fatal("fleet never settled")
 }
 
-// TestCoordinatorValidation proves construction rejects duplicate and
-// empty network names and that queries reject unknown networks.
-func TestCoordinatorValidation(t *testing.T) {
-	ev := testEvaluator(t, 8, 40, 40)
-	lib := testLibrary(t, ev, 3, 41)
-	factory := func() (*Controller, error) { return NewController(ev, lib) }
-	if _, err := NewCoordinator(nil); err == nil {
-		t.Error("empty fleet accepted")
-	}
-	if _, err := NewCoordinator([]ShardConfig{
-		{Network: "a", Factory: factory},
-		{Network: "a", Factory: factory},
-	}); err == nil {
-		t.Error("duplicate network accepted")
-	}
-}
-
-// TestShardLifecycle covers pause/resume/quiesce plumbing through the
-// coordinator: a paused shard holds deliveries but keeps admitting, and
-// checkpointing a paused shard with queued events fails rather than
-// silently skipping them.
+// TestShardLifecycle covers pause/resume/quiesce plumbing: a paused
+// shard holds deliveries but keeps admitting, and checkpointing a
+// paused shard with queued events fails rather than silently skipping
+// them.
 func TestShardLifecycle(t *testing.T) {
-	coord, _ := testCoordinator(t, []string{"alpha"}, t.TempDir())
-	sh, err := coord.Shard("alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
+	shards, _ := testShards(t, []string{"alpha"}, t.TempDir())
+	sh := shards["alpha"]
 	ev := testEvaluator(t, 8, 40, 40)
 	if err := sh.Pause(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := sh.Enqueue(eventStream(ev, 8, 2))
+	seq, err := sh.Enqueue(eventStream(ev, 8, 2))
 	if err != nil {
 		t.Fatalf("paused shard rejected admission: %v", err)
 	}
-	if res.Accepted != 8 {
-		t.Fatalf("accepted %d, want 8", res.Accepted)
+	if seq != 8 {
+		t.Fatalf("last seq %d, want 8", seq)
 	}
 	if st := sh.Status(); st.Intake.Depth == 0 {
 		t.Fatal("paused shard delivered anyway")

@@ -37,7 +37,7 @@ func soakSet(ev *routing.Evaluator) scenario.Set {
 // batch cadence an operator's replay tooling produces.
 func TestFleetFirehoseSoak(t *testing.T) {
 	networks := []string{"east", "west"}
-	coord, twins := testCoordinator(t, networks, t.TempDir())
+	shards, twins := testShards(t, networks, t.TempDir())
 
 	// Render one firehose per network against that network's topology.
 	streams := make(map[string][]scenario.TimedBatch, len(networks))
@@ -57,12 +57,9 @@ func TestFleetFirehoseSoak(t *testing.T) {
 	killAt := []int{len(merged) / 4, len(merged) / 2, 3 * len(merged) / 4}
 	checkpointAt := []int{len(merged) / 3, 2 * len(merged) / 3}
 	for i, nb := range merged {
-		sh, err := coord.Shard(nb.Network)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sh := shards[nb.Network]
 		for {
-			_, err := coord.Enqueue(nb.Network, nb.Events)
+			_, err := sh.Enqueue(nb.Events)
 			if errors.Is(err, ingest.ErrFull) {
 				sh.Quiesce()
 				continue
@@ -77,29 +74,23 @@ func TestFleetFirehoseSoak(t *testing.T) {
 		}
 		for _, k := range checkpointAt {
 			if i == k {
-				if err := coord.CheckpointAll(); err != nil {
-					t.Fatalf("checkpoint at batch %d: %v", i, err)
+				for _, name := range networks {
+					if err := shards[name].Checkpoint(); err != nil {
+						t.Fatalf("checkpoint of %s at batch %d: %v", name, i, err)
+					}
 				}
 			}
 		}
 		for _, k := range killAt {
 			if i == k {
 				// Alternate which shard dies so both recover mid-stream.
-				victim := networks[k%len(networks)]
-				vs, err := coord.Shard(victim)
-				if err != nil {
-					t.Fatal(err)
-				}
-				vs.Kill()
+				shards[networks[k%len(networks)]].Kill()
 			}
 		}
 	}
 
 	for _, name := range networks {
-		sh, err := coord.Shard(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sh := shards[name]
 		sh.Quiesce()
 		st := sh.Status()
 		if st.State != StateRunning {
@@ -118,14 +109,15 @@ func TestFleetFirehoseSoak(t *testing.T) {
 	// A firehose replays every episode to completion, so the fleet ends
 	// back at base conditions: no links down anywhere.
 	for _, name := range networks {
-		sh, _ := coord.Shard(name)
-		c, _ := sh.Controller()
+		c, _ := shards[name].Controller()
 		if down := c.State().DownLinks; len(down) != 0 {
 			t.Fatalf("%s: links %v still down after a healing stream", name, down)
 		}
 	}
 
-	if err := coord.Close(context.Background()); err != nil {
-		t.Fatalf("fleet close: %v", err)
+	for _, name := range networks {
+		if err := shards[name].Close(context.Background()); err != nil {
+			t.Fatalf("%s close: %v", name, err)
+		}
 	}
 }

@@ -25,44 +25,21 @@ type Sink interface {
 	ObserveBatch(events []scenario.Event, trace, parent uint64) error
 }
 
-// Config bounds and tunes an Intake.
+// Config bounds an Intake.
 type Config struct {
 	// Capacity is the maximum number of queued events (not batches);
 	// an Enqueue that would exceed it is shed whole. Default 4096.
 	Capacity int
-	// MaxBatch caps the events drained into one sink delivery.
-	// Default 1024.
-	MaxBatch int
-	// RetryAfter is the backpressure hint callers should surface (the
-	// daemon turns it into an HTTP Retry-After header). Default 1s.
-	RetryAfter time.Duration
 	// Tap, when set, observes every delivered batch (pre-coalescing)
 	// from the delivery goroutine. Tests use it to audit exactly which
 	// accepted events reached delivery.
 	Tap func(events []scenario.Event)
 }
 
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.Capacity <= 0 {
-		out.Capacity = 4096
-	}
-	if out.MaxBatch <= 0 {
-		out.MaxBatch = 1024
-	}
-	if out.RetryAfter <= 0 {
-		out.RetryAfter = time.Second
-	}
-	return out
-}
-
-// Result reports an accepted Enqueue: how many events were admitted
-// and the sequence number of the last one (sequence numbers increase
-// by one per accepted event, starting at 1).
-type Result struct {
-	Accepted int
-	LastSeq  uint64
-}
+// maxDelivery caps the events drained into one sink delivery. Results
+// do not depend on it: the coalescer-equivalence suite shows that any
+// split of a stream into deliveries reaches the same state.
+const maxDelivery = 1024
 
 // Stats is a consistent snapshot of the intake's counters.
 type Stats struct {
@@ -79,7 +56,7 @@ type pending struct {
 
 // Intake is the bounded asynchronous telemetry queue: Enqueue admits
 // batches under a capacity bound, and a single delivery goroutine
-// drains the queue in batches of up to MaxBatch events, coalesces
+// drains the queue in batches of up to maxDelivery events, coalesces
 // them, and hands them to the sink. All methods are safe for
 // concurrent use.
 type Intake struct {
@@ -93,7 +70,6 @@ type Intake struct {
 	paused   bool
 	closed   bool
 	inflight bool
-	seq      uint64
 	accepted uint64
 	shed     uint64
 	deliv    uint64
@@ -105,8 +81,11 @@ type Intake struct {
 // New builds an intake draining into sink and starts its delivery
 // goroutine. Call Close to drain and stop it.
 func New(cfg Config, sink Sink) *Intake {
+	if cfg.Capacity <= 0 {
+		cfg.Capacity = 4096
+	}
 	q := &Intake{
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		sink:    sink,
 		stopped: make(chan struct{}),
 	}
@@ -114,12 +93,6 @@ func New(cfg Config, sink Sink) *Intake {
 	go q.run()
 	return q
 }
-
-// RetryAfter returns the configured backpressure hint.
-func (q *Intake) RetryAfter() time.Duration { return q.cfg.RetryAfter }
-
-// Capacity returns the queue's event capacity.
-func (q *Intake) Capacity() int { return q.cfg.Capacity }
 
 func (q *Intake) depthLocked() int { return len(q.queue) - q.head }
 
@@ -149,15 +122,15 @@ func (q *Intake) Err() error {
 // under Capacity they are queued and delivered asynchronously in
 // order; otherwise nothing is queued and ErrFull is returned so the
 // caller can apply backpressure (HTTP 429 + Retry-After upstream).
-func (q *Intake) Enqueue(events []scenario.Event) (Result, error) {
+func (q *Intake) Enqueue(events []scenario.Event) error {
 	if len(events) == 0 {
-		return Result{}, nil
+		return nil
 	}
 	m := met.Get()
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
-		return Result{}, ErrClosed
+		return ErrClosed
 	}
 	if q.depthLocked()+len(events) > q.cfg.Capacity {
 		q.shed += uint64(len(events))
@@ -165,23 +138,21 @@ func (q *Intake) Enqueue(events []scenario.Event) (Result, error) {
 		if m != nil {
 			m.shed.Add(int64(len(events)))
 		}
-		return Result{}, ErrFull
+		return ErrFull
 	}
 	now := time.Now()
 	for _, e := range events {
 		q.queue = append(q.queue, pending{ev: e, at: now})
 	}
-	q.seq += uint64(len(events))
 	q.accepted += uint64(len(events))
-	res := Result{Accepted: len(events), LastSeq: q.seq}
 	depth := q.depthLocked()
 	q.cond.Broadcast()
 	q.mu.Unlock()
 	if m != nil {
-		m.accepted.Add(int64(res.Accepted))
+		m.accepted.Add(int64(len(events)))
 		m.depth.Set(float64(depth))
 	}
-	return res, nil
+	return nil
 }
 
 // Pause stops deliveries (queued events accumulate) until Resume.
@@ -254,7 +225,7 @@ func (q *Intake) UpdateGauges() {
 	m.oldest.Set(age.Seconds())
 }
 
-// run is the delivery goroutine: greedily drain up to MaxBatch queued
+// run is the delivery goroutine: greedily drain up to maxDelivery queued
 // events, deliver, repeat; exit once closed and drained.
 func (q *Intake) run() {
 	defer close(q.stopped)
@@ -268,7 +239,7 @@ func (q *Intake) run() {
 			q.mu.Unlock()
 			return
 		}
-		n := min(q.depthLocked(), q.cfg.MaxBatch)
+		n := min(q.depthLocked(), maxDelivery)
 		batch = append(batch[:0], q.queue[q.head:q.head+n]...)
 		q.head += n
 		if q.head == len(q.queue) {

@@ -62,23 +62,10 @@ func TestIntakeDeliversInOrder(t *testing.T) {
 	defer q.Close(context.Background())
 
 	events := labeled(10)
-	var lastSeq uint64
 	for i := 0; i < len(events); i += 3 {
-		end := min(i+3, len(events))
-		res, err := q.Enqueue(events[i:end])
-		if err != nil {
+		if err := q.Enqueue(events[i:min(i+3, len(events))]); err != nil {
 			t.Fatalf("Enqueue: %v", err)
 		}
-		if res.Accepted != end-i {
-			t.Fatalf("accepted %d, want %d", res.Accepted, end-i)
-		}
-		if res.LastSeq <= lastSeq {
-			t.Fatalf("LastSeq %d not increasing past %d", res.LastSeq, lastSeq)
-		}
-		lastSeq = res.LastSeq
-	}
-	if lastSeq != uint64(len(events)) {
-		t.Fatalf("final LastSeq %d, want %d", lastSeq, len(events))
 	}
 	q.Quiesce()
 
@@ -105,21 +92,21 @@ func TestIntakeBackpressureAllOrNothing(t *testing.T) {
 	q.Pause() // make queue depth deterministic
 	ev := labeled(26)
 
-	if _, err := q.Enqueue(ev[:5]); err != nil {
+	if err := q.Enqueue(ev[:5]); err != nil {
 		t.Fatalf("first batch: %v", err)
 	}
 	// 5 queued + 4 offered > 8: the whole batch must be shed.
-	if _, err := q.Enqueue(ev[5:9]); !errors.Is(err, ErrFull) {
+	if err := q.Enqueue(ev[5:9]); !errors.Is(err, ErrFull) {
 		t.Fatalf("overflow batch: err = %v, want ErrFull", err)
 	}
 	if d := q.Depth(); d != 5 {
 		t.Fatalf("depth after shed = %d, want 5 (shed must not partially admit)", d)
 	}
 	// A smaller batch still fits exactly.
-	if _, err := q.Enqueue(ev[9:12]); err != nil {
+	if err := q.Enqueue(ev[9:12]); err != nil {
 		t.Fatalf("fitting batch: %v", err)
 	}
-	if _, err := q.Enqueue(ev[12:13]); !errors.Is(err, ErrFull) {
+	if err := q.Enqueue(ev[12:13]); !errors.Is(err, ErrFull) {
 		t.Fatalf("full queue: err = %v, want ErrFull", err)
 	}
 
@@ -144,13 +131,13 @@ func TestIntakeBackpressureAllOrNothing(t *testing.T) {
 func TestIntakeRejectsAfterClose(t *testing.T) {
 	sink := &recordSink{}
 	q := New(Config{}, sink)
-	if _, err := q.Enqueue(labeled(3)); err != nil {
+	if err := q.Enqueue(labeled(3)); err != nil {
 		t.Fatalf("Enqueue: %v", err)
 	}
 	if err := q.Close(context.Background()); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, err := q.Enqueue(labeled(1)); !errors.Is(err, ErrClosed) {
+	if err := q.Enqueue(labeled(1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close Enqueue: err = %v, want ErrClosed", err)
 	}
 	// Close drained everything accepted before it.
@@ -166,7 +153,7 @@ func TestIntakeCloseDrainsPaused(t *testing.T) {
 	sink := &recordSink{}
 	q := New(Config{}, sink)
 	q.Pause()
-	if _, err := q.Enqueue(labeled(7)); err != nil {
+	if err := q.Enqueue(labeled(7)); err != nil {
 		t.Fatalf("Enqueue: %v", err)
 	}
 	// Close must unpause and drain without an explicit Resume.
@@ -188,7 +175,7 @@ func TestIntakeQuiesceWaitsForInflight(t *testing.T) {
 		q.Close(context.Background())
 	}()
 
-	if _, err := q.Enqueue(labeled(2)); err != nil {
+	if err := q.Enqueue(labeled(2)); err != nil {
 		t.Fatalf("Enqueue: %v", err)
 	}
 	<-sink.entered // delivery grabbed the batch and is blocked in the sink
@@ -229,7 +216,7 @@ func TestIntakeTapSeesEveryAcceptedEvent(t *testing.T) {
 
 	events := labeled(20)
 	for i := 0; i < len(events); i += 7 {
-		if _, err := q.Enqueue(events[i:min(i+7, len(events))]); err != nil {
+		if err := q.Enqueue(events[i:min(i+7, len(events))]); err != nil {
 			t.Fatalf("Enqueue: %v", err)
 		}
 	}
@@ -251,7 +238,7 @@ func TestIntakeSinkErrorRecorded(t *testing.T) {
 	sinkErr := errors.New("sink rejected batch")
 	sink := &recordSink{err: sinkErr}
 	q := New(Config{}, sink)
-	if _, err := q.Enqueue(labeled(1)); err != nil {
+	if err := q.Enqueue(labeled(1)); err != nil {
 		t.Fatalf("Enqueue: %v", err)
 	}
 	if err := q.Close(context.Background()); !errors.Is(err, sinkErr) {
@@ -276,10 +263,10 @@ func TestIntakeMetricsReconcile(t *testing.T) {
 	defer q.Close(context.Background())
 
 	q.Pause()
-	if _, err := q.Enqueue(labeled(3)); err != nil {
+	if err := q.Enqueue(labeled(3)); err != nil {
 		t.Fatalf("Enqueue: %v", err)
 	}
-	if _, err := q.Enqueue(labeled(2)); !errors.Is(err, ErrFull) {
+	if err := q.Enqueue(labeled(2)); !errors.Is(err, ErrFull) {
 		t.Fatalf("want ErrFull, got %v", err)
 	}
 	if got := m.accepted.Value(); got != 3 {
@@ -333,7 +320,7 @@ func TestIntakeCoalescedDeliveryCounts(t *testing.T) {
 		linkEvent(0, true),
 		linkEvent(1, false),
 	}
-	if _, err := q.Enqueue(batch); err != nil {
+	if err := q.Enqueue(batch); err != nil {
 		t.Fatalf("Enqueue: %v", err)
 	}
 	q.Resume()

@@ -213,7 +213,7 @@ type family struct {
 	kind       Kind
 	bounds     []float64 // histogram families only
 	series     map[string]*series
-	order      []*series // sorted by sig on render
+	order      []*series // registration order; guarded by Registry.mu
 }
 
 // Registry holds metric families and the decision-trace ring. All
@@ -351,23 +351,27 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	return r.lookup(name, help, KindHistogram, bounds, labels).h
 }
 
+// renderFamily is one family as a render sees it: its series copied
+// under Registry.mu and sorted by label signature.
+type renderFamily struct {
+	*family
+	sorted []*series
+}
+
 // snapshotFamilies returns the families sorted by name, each with its
 // series sorted by label signature — the deterministic render order.
-func (r *Registry) snapshotFamilies() []*family {
+// Each call sorts its own copies, so concurrent renders and
+// registrations never share a slice.
+func (r *Registry) snapshotFamilies() []renderFamily {
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
+	fams := make([]renderFamily, 0, len(r.families))
 	for _, f := range r.families {
-		fams = append(fams, f)
+		fams = append(fams, renderFamily{family: f, sorted: append([]*series(nil), f.order...)})
 	}
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	for _, f := range fams {
-		// order is only appended to under r.mu; sort a copy for render.
-		r.mu.Lock()
-		ser := append([]*series(nil), f.order...)
-		r.mu.Unlock()
-		sort.Slice(ser, func(i, j int) bool { return ser[i].sig < ser[j].sig })
-		f.order = ser
+		sort.Slice(f.sorted, func(i, j int) bool { return f.sorted[i].sig < f.sorted[j].sig })
 	}
 	return fams
 }

@@ -2,6 +2,8 @@ package obsv
 
 import (
 	"bytes"
+	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -155,6 +157,53 @@ func TestViewRebindsOnDefaultChange(t *testing.T) {
 	m2.c.Inc()
 	if r1.Counter("v_total", "").Value() != 1 || r2.Counter("v_total", "").Value() != 1 {
 		t.Fatal("views must write to their bound registry")
+	}
+}
+
+// TestRenderUnderConcurrentRegistration renders both formats while
+// other goroutines register new series in the family being rendered,
+// as a scrape does while a shard's first events register their series.
+// Under -race it checks that a render never shares a slice with
+// registration; once quiet, both formats list every series.
+func TestRenderUnderConcurrentRegistration(t *testing.T) {
+	r := NewRegistry()
+	const writers, perWriter = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				r.Counter("reg_total", "", L("id", strconv.Itoa(w*perWriter+i))).Inc()
+			}
+		}()
+	}
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if err := r.WritePrometheus(io.Discard); err != nil {
+					t.Error(err)
+					return
+				}
+				r.Snapshot()
+			}
+		}()
+	}
+	wg.Wait()
+
+	if snap := r.Snapshot(); len(snap.Metrics) != 1 {
+		t.Fatalf("snapshot lists %d families, want 1", len(snap.Metrics))
+	} else if n := len(snap.Metrics[0].Series); n != writers*perWriter {
+		t.Fatalf("snapshot lists %d series, want %d", n, writers*perWriter)
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(buf.String(), "\nreg_total{"); n != writers*perWriter {
+		t.Fatalf("exposition lists %d series, want %d", n, writers*perWriter)
 	}
 }
 

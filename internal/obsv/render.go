@@ -101,7 +101,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if _, err := io.WriteString(w, "# TYPE "+f.name+" "+f.kind.String()+"\n"); err != nil {
 			return err
 		}
-		for _, s := range f.order {
+		for _, s := range f.sorted {
 			var err error
 			switch f.kind {
 			case KindCounter:
@@ -177,7 +177,7 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for _, f := range r.snapshotFamilies() {
 		m := MetricSnapshot{Name: f.name, Help: f.help, Kind: f.kind.String()}
-		for _, s := range f.order {
+		for _, s := range f.sorted {
 			var ss SeriesSnapshot
 			if len(s.labels) > 0 {
 				ss.Labels = make(map[string]string, len(s.labels))

@@ -528,14 +528,15 @@ func BenchmarkBatchLinkRepair(b *testing.B) {
 // BenchmarkSetDemandsFullVsDelta isolates the demand-delta tentpole: a
 // single-hotspot surge (every source into one destination column
 // scaled, so O(1) of the n columns move) applied and recovered on a
-// persistent session over the Table III 100-node RandTopo. Full forces
-// the pre-delta behavior — every demand update pays a complete rebase
-// (2n Dijkstras + load/delay passes) — via a zero rebase threshold;
-// Delta is the shipped path, which keeps all SPF state untouched and
-// recomputes only the changed columns' contributions and Λ subtotals.
-// Each iteration is two demand events (surge + restore); the
-// Full/Delta ns/op ratio is the demand path's speedup and is tracked
-// per-PR by the CI benchmark gate (acceptance bar: ≥5×).
+// persistent session over the Table III 100-node RandTopo. Full is the
+// pre-delta behavior — every demand update pays a complete rebase
+// (2n Dijkstras + load/delay passes) — timed as Init on two sessions
+// built on the surge and base matrices; Delta is the shipped path,
+// which keeps all SPF state untouched and recomputes only the changed
+// columns' contributions and Λ subtotals. Each iteration is two demand
+// events (surge + restore); the Full/Delta ns/op ratio is the demand
+// path's speedup and is tracked per-PR by the CI benchmark gate
+// (acceptance bar: ≥5×).
 func BenchmarkSetDemandsFullVsDelta(b *testing.B) {
 	ev, w := benchEvaluator(b, 100, 500)
 	const hot = 17
@@ -548,9 +549,20 @@ func BenchmarkSetDemandsFullVsDelta(b *testing.B) {
 		surD.Set(s, hot, surD.At(s, hot)*4)
 		surT.Set(s, hot, surT.At(s, hot)*4)
 	}
-	run := func(b *testing.B, frac float64) {
+	b.Run("Full", func(b *testing.B) {
+		surge := ev.NewScenarioSession(nil, -1, surD, surT)
+		base := ev.NewScenarioSession(nil, -1, nil, nil)
+		surge.Init(w)
+		base.Init(w)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			surge.Init(w)
+			base.Init(w)
+		}
+	})
+	b.Run("Delta", func(b *testing.B) {
 		ses := ev.NewScenarioSession(nil, -1, nil, nil)
-		ses.SetDemandRebaseThreshold(frac)
 		ses.Init(w)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -558,9 +570,7 @@ func BenchmarkSetDemandsFullVsDelta(b *testing.B) {
 			ses.SetDemands(surD, surT)
 			ses.SetDemands(nil, nil)
 		}
-	}
-	b.Run("Full", func(b *testing.B) { run(b, 0) })
-	b.Run("Delta", func(b *testing.B) { run(b, 0.5) })
+	})
 }
 
 // BenchmarkSelectorAdviseSurge is BenchmarkSelectorAdvise's
@@ -608,7 +618,7 @@ func BenchmarkSelectorAdviseSurge(b *testing.B) {
 		if err := sel.ObserveBatch([]scenario.Event{scenario.Event{Kind: scenario.EventDemandDelta, DeltaD: onsets[t]}}, 0, 0); err != nil {
 			b.Fatal(err)
 		}
-		if best, _ := sel.Advise(); best < 0 || best >= 8 {
+		if best := sel.Advise().Config; best < 0 || best >= 8 {
 			b.Fatal("bad advice")
 		}
 		if err := sel.ObserveBatch([]scenario.Event{scenario.Event{Kind: scenario.EventDemandDelta, DeltaD: recoveries[t]}}, 0, 0); err != nil {
@@ -653,7 +663,7 @@ func benchSelectorAdvise(b *testing.B) {
 		if err := sel.ObserveBatch([]scenario.Event{scenario.Event{Kind: scenario.EventLinkDown, Link: li}}, 0, 0); err != nil {
 			b.Fatal(err)
 		}
-		if best, _ := sel.Advise(); best < 0 || best >= 8 {
+		if best := sel.Advise().Config; best < 0 || best >= 8 {
 			b.Fatal("bad advice")
 		}
 		if err := sel.ObserveBatch([]scenario.Event{scenario.Event{Kind: scenario.EventLinkUp, Link: li}}, 0, 0); err != nil {
@@ -827,7 +837,7 @@ func benchFleetShards(b *testing.B, networks int) []*fleet.Shard {
 		ev, lib := benchFirehoseLibrary(b)
 		sh, err := fleet.NewShard(fleet.ShardConfig{
 			Network:  fmt.Sprintf("net%d", i),
-			Factory:  func() (*fleet.Controller, error) { return fleet.NewController(ev, lib) },
+			Factory:  func() (*ctrl.Selector, error) { return ctrl.NewSelector(ev, lib) },
 			Capacity: 1 << 20,
 		})
 		if err != nil {

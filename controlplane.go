@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/ctrl"
-	"repro/internal/fleet"
 	"repro/internal/routing"
 	"repro/internal/scenario"
 	"repro/internal/traffic"
@@ -167,13 +166,13 @@ type ControlEvent struct {
 // configuration scored incrementally (one persistent session per
 // configuration), advises which configuration fits the conditions
 // best, and plans bounded-change migrations toward it. It is safe for
-// concurrent use. The core logic lives in internal/fleet (one
-// Controller per fleet shard); this facade adds wire-event conversion.
-// Multi-network deployments wrap one core per network in a Fleet.
+// concurrent use. The core logic lives in internal/ctrl (one Selector
+// per network); this facade adds wire-event conversion. Multi-network
+// deployments wrap one core per network in a Fleet.
 type Controller struct {
 	net  *Network
 	lib  *Library
-	core *fleet.Controller
+	core *ctrl.Selector
 }
 
 // NewController starts a controller on the intact network with base
@@ -186,17 +185,17 @@ func (n *Network) NewController(lib *Library) (*Controller, error) {
 	return &Controller{net: n, lib: lib, core: core}, nil
 }
 
-// newCore builds the fleet-layer controller core for this network and
-// library (NewController wraps one; Fleet shards build their own so
-// crash recovery can rebuild them).
-func (n *Network) newCore(lib *Library) (*fleet.Controller, error) {
+// newCore builds the control-plane core for this network and library
+// (NewController wraps one; Fleet shards build their own so crash
+// recovery can rebuild them).
+func (n *Network) newCore(lib *Library) (*ctrl.Selector, error) {
 	if lib == nil {
 		return nil, fmt.Errorf("repro: nil library")
 	}
 	if lib.net != n {
 		return nil, fmt.Errorf("repro: library was built for a different network")
 	}
-	return fleet.NewController(n.ev, lib.lib)
+	return ctrl.NewSelector(n.ev, lib.lib)
 }
 
 // Observe folds one telemetry event into the controller, as a batch of
@@ -305,7 +304,7 @@ func (c *Controller) Advise() Advice {
 	return adviceFrom(c.core.Advise())
 }
 
-func adviceFrom(a fleet.Advice) Advice {
+func adviceFrom(a ctrl.Advice) Advice {
 	return Advice{
 		Config:       a.Config,
 		Name:         a.Name,
@@ -345,10 +344,10 @@ type MigrationPlan struct {
 	// post-plan weights and the full target under planning conditions.
 	Start, Final, TargetEval Evaluation
 
-	// p is the fleet-layer plan this facade view was built from; Apply
-	// hands it back to the core, which refuses a plan whose base no
+	// p is the core's migration this facade view was built from; Apply
+	// hands it back to the core, which refuses a migration whose base no
 	// longer matches the deployed weights (stale plan).
-	p *fleet.Plan
+	p *ctrl.Migration
 }
 
 // Plan computes a bounded-change migration from the deployed weights to
@@ -365,7 +364,7 @@ func (c *Controller) Plan(target, maxChanges int) (*MigrationPlan, error) {
 	return planFrom(p), nil
 }
 
-func planFrom(p *fleet.Plan) *MigrationPlan {
+func planFrom(p *ctrl.Migration) *MigrationPlan {
 	plan := &MigrationPlan{
 		Target:     p.Target,
 		TargetName: p.TargetName,
@@ -434,7 +433,7 @@ func (c *Controller) State() ControllerState {
 	return stateFrom(c.core.State())
 }
 
-func stateFrom(s fleet.State) ControllerState {
+func stateFrom(s ctrl.State) ControllerState {
 	st := ControllerState{
 		Active:     s.Active,
 		ActiveName: s.ActiveName,

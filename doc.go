@@ -46,8 +46,8 @@
 // is loop-free and SLA-checked. Observe and ObserveBatch share one
 // update path, so a single event is a batch of one: each run of link
 // events becomes one multi-link update per candidate configuration,
-// and each demand event either refreshes the destination columns it
-// changes or, past a threshold, rebases from scratch:
+// and each demand event refreshes only the destination columns it
+// changes:
 //
 //	lib, _ := net.BuildLibrary(set, repro.LibraryOptions{Size: 4})
 //	ctrl, _ := net.NewController(lib)

@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"time"
 
+	"repro/internal/ctrl"
 	"repro/internal/fleet"
 	"repro/internal/par"
 	"repro/internal/scenario"
@@ -32,8 +33,8 @@ type FleetMember struct {
 	// IntakeTap, when set, observes the labels of every batch delivered
 	// to this member's shard — the audit hook the no-lost-events drain
 	// test uses. It sees every accepted event before coalescing, outside
-	// the shard's panic barrier; SetDeliveryHook sees the coalesced batch
-	// inside the barrier. Both survive crash rebuilds of the shard.
+	// the shard's panic barrier, and survives crash rebuilds of the
+	// shard.
 	IntakeTap func(labels []string)
 }
 
@@ -117,7 +118,7 @@ func NewFleet(members []FleetMember, opts FleetOptions) (*Fleet, error) {
 		}
 		cfgs = append(cfgs, fleet.ShardConfig{
 			Network:            m.Name,
-			Factory:            func() (*fleet.Controller, error) { return net.newCore(lib) },
+			Factory:            func() (*ctrl.Selector, error) { return net.newCore(lib) },
 			Tap:                tap,
 			Dir:                dir,
 			CheckpointInterval: opts.CheckpointInterval,
@@ -250,7 +251,7 @@ func (f *Fleet) Enqueue(events []ControlEvent) (FleetIntakeResult, error) {
 }
 
 // controller returns the live controller core of a network's shard.
-func (f *Fleet) controller(network string) (*fleet.Controller, error) {
+func (f *Fleet) controller(network string) (*ctrl.Selector, error) {
 	m, err := f.resolve(network)
 	if err != nil {
 		return nil, err
@@ -398,29 +399,6 @@ func (f *Fleet) Kill(network string) error {
 		return err
 	}
 	m.sh.Kill()
-	return nil
-}
-
-// SetDeliveryHook installs fn to observe the labels of every batch
-// delivered to the named network's shard, inside its panic isolation,
-// before the controller sees the events (nil removes it). Tests use it
-// to inject crashes and audit delivery.
-func (f *Fleet) SetDeliveryHook(network string, fn func(labels []string)) error {
-	m, err := f.resolve(network)
-	if err != nil {
-		return err
-	}
-	if fn == nil {
-		m.sh.SetDeliveryHook(nil)
-		return nil
-	}
-	m.sh.SetDeliveryHook(func(events []scenario.Event) {
-		labels := make([]string, len(events))
-		for i := range events {
-			labels[i] = events[i].Label
-		}
-		fn(labels)
-	})
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/scenario"
 	"repro/internal/traffic"
@@ -58,20 +59,33 @@ func observe1(s *Selector, e scenario.Event) error {
 	return s.ObserveBatch([]scenario.Event{e}, 0, 0)
 }
 
+// conditions returns the selector's observed conditions — a mask of
+// its down links and the demand overrides in effect — from its
+// checkpoint, for from-scratch oracle evaluations.
+func conditions(sel *Selector) (*graph.Mask, *traffic.Matrix, *traffic.Matrix) {
+	cp := sel.Checkpoint()
+	mask := graph.NewMask(sel.ev.Graph())
+	for _, li := range cp.Down {
+		mask.FailLink(li)
+	}
+	return mask, cp.DemD, cp.DemT
+}
+
 func sameSelectorState(t *testing.T, seq, bat *Selector, at string) {
 	t.Helper()
-	for i := 0; i < seq.Library().Size(); i++ {
-		if seq.Result(i).Cost != bat.Result(i).Cost || seq.Result(i).PhiNorm != bat.Result(i).PhiNorm {
-			t.Fatalf("%s: candidate %d diverged: %+v vs %+v", at, i, seq.Result(i), bat.Result(i))
+	ss, bs := seq.State(), bat.State()
+	for i := range ss.Configs {
+		rs, rb := ss.Configs[i].Result, bs.Configs[i].Result
+		if rs.Cost != rb.Cost || rs.PhiNorm != rb.PhiNorm {
+			t.Fatalf("%s: candidate %d diverged: %+v vs %+v", at, i, rs, rb)
 		}
 	}
-	is, _ := seq.Advise()
-	ib, _ := bat.Advise()
+	is, ib := seq.Advise().Config, bat.Advise().Config
 	if is != ib {
 		t.Fatalf("%s: advise diverged: %d vs %d", at, is, ib)
 	}
-	if !reflect.DeepEqual(seq.DownLinks(), bat.DownLinks()) {
-		t.Fatalf("%s: down links diverged: %v vs %v", at, seq.DownLinks(), bat.DownLinks())
+	if !reflect.DeepEqual(ss.DownLinks, bs.DownLinks) {
+		t.Fatalf("%s: down links diverged: %v vs %v", at, ss.DownLinks, bs.DownLinks)
 	}
 }
 
@@ -91,8 +105,8 @@ func TestObserveBatchMatchesSequential(t *testing.T) {
 		t.Fatalf("batch: %v", err)
 	}
 	sameSelectorState(t, seq, bat, "mixed batch")
-	if seq.Events() != bat.Events() {
-		t.Fatalf("events counter diverged: sequential %d, batch %d", seq.Events(), bat.Events())
+	if seq.State().Events != bat.State().Events {
+		t.Fatalf("events counter diverged: sequential %d, batch %d", seq.State().Events, bat.State().Events)
 	}
 }
 
@@ -172,12 +186,12 @@ func randomStream(ev *routing.Evaluator, n int, rng *rand.Rand) []scenario.Event
 // Evaluator run under the selector's own view of the conditions.
 func requireOracle(t *testing.T, ev *routing.Evaluator, sel *Selector, at string) {
 	t.Helper()
-	mask := sel.Mask()
-	demD, demT := sel.Demands()
+	mask, demD, demT := conditions(sel)
+	st := sel.State()
 	var want routing.Result
-	for i, e := range sel.Library().Entries {
+	for i, e := range sel.lib.Entries {
 		ev.EvaluateDemands(e.W, mask, -1, demD, demT, &want)
-		if got := sel.Result(i); !reflect.DeepEqual(got, want) {
+		if got := st.Configs[i].Result; !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: candidate %d scored %+v, oracle %+v", at, i, got, want)
 		}
 	}
@@ -186,7 +200,7 @@ func requireOracle(t *testing.T, ev *routing.Evaluator, sel *Selector, at string
 // TestObserveBatchRandomized splits seeded mixed streams (randomStream)
 // into batches at random points, and into singletons — the sequential
 // path. After every batch, each candidate must score exactly what the
-// oracle computes under the selector's Mask and Demands, and the
+// oracle computes under the selector's checkpointed conditions, and the
 // selector must agree bit for bit with a twin that observed the same
 // events one at a time, down links and Events counter included.
 func TestObserveBatchRandomized(t *testing.T) {
@@ -220,8 +234,8 @@ func TestObserveBatchRandomized(t *testing.T) {
 				}
 				requireOracle(t, ev, bat, "randomized")
 				sameSelectorState(t, seq, bat, "randomized")
-				if seq.Events() != bat.Events() {
-					t.Fatalf("seed %d split %d: events counter diverged: %d vs %d", seed, k, seq.Events(), bat.Events())
+				if seq.State().Events != bat.State().Events {
+					t.Fatalf("seed %d split %d: events counter diverged: %d vs %d", seed, k, seq.State().Events, bat.State().Events)
 				}
 				at += size
 			}
@@ -241,11 +255,11 @@ func TestObserveBatchValidationAborts(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "batch event 1") {
 		t.Fatalf("err = %v, want batch event 1 out-of-range", err)
 	}
-	if sel.Events() != 0 {
-		t.Fatalf("events counter advanced to %d on a rejected batch", sel.Events())
+	if sel.State().Events != 0 {
+		t.Fatalf("events counter advanced to %d on a rejected batch", sel.State().Events)
 	}
-	if len(sel.DownLinks()) != 0 {
-		t.Fatalf("rejected batch mutated link state: %v", sel.DownLinks())
+	if down := sel.State().DownLinks; len(down) != 0 {
+		t.Fatalf("rejected batch mutated link state: %v", down)
 	}
 
 	badDelta := []scenario.Event{
@@ -257,8 +271,8 @@ func TestObserveBatchValidationAborts(t *testing.T) {
 	if err := sel.ObserveBatch(badDelta, 0, 0); err == nil {
 		t.Fatal("self-demand delta accepted")
 	}
-	if sel.Events() != 0 || len(sel.DownLinks()) != 0 {
-		t.Fatalf("rejected batch mutated state: events=%d down=%v", sel.Events(), sel.DownLinks())
+	if st := sel.State(); st.Events != 0 || len(st.DownLinks) != 0 {
+		t.Fatalf("rejected batch mutated state: events=%d down=%v", st.Events, st.DownLinks)
 	}
 }
 
@@ -267,8 +281,8 @@ func TestObserveBatchEmptyAndSingle(t *testing.T) {
 	if err := bat.ObserveBatch(nil, 0, 0); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if bat.Events() != 0 {
-		t.Fatalf("empty batch advanced events counter to %d", bat.Events())
+	if bat.State().Events != 0 {
+		t.Fatalf("empty batch advanced events counter to %d", bat.State().Events)
 	}
 	one := []scenario.Event{{Kind: scenario.EventLinkDown, Link: 2}}
 	if err := observe1(seq, one[0]); err != nil {

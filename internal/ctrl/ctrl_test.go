@@ -153,12 +153,12 @@ func TestAdviseMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		mask := sel.Mask()
-		demD, demT := sel.Demands()
+		mask, demD, demT := conditions(sel)
+		st := sel.State()
 		oracleBest, oracleIdx := cost.Cost{}, -1
 		for i, entry := range lib.Entries {
 			ev.EvaluateDemands(entry.W, mask, -1, demD, demT, &want)
-			got := sel.Result(i)
+			got := st.Configs[i].Result
 			if got.Cost != want.Cost || got.Violations != want.Violations ||
 				got.Disconnected != want.Disconnected || got.MaxUtil != want.MaxUtil ||
 				got.AvgUtil != want.AvgUtil || got.PhiNorm != want.PhiNorm {
@@ -168,12 +168,12 @@ func TestAdviseMatchesOracle(t *testing.T) {
 				oracleIdx, oracleBest = i, want.Cost
 			}
 		}
-		advised, res := sel.Advise()
-		if advised != oracleIdx {
-			t.Fatalf("%s: Advise picked %d, oracle picked %d", ep.Name, advised, oracleIdx)
+		adv := sel.Advise()
+		if adv.Config != oracleIdx {
+			t.Fatalf("%s: Advise picked %d, oracle picked %d", ep.Name, adv.Config, oracleIdx)
 		}
-		if res.Cost != oracleBest {
-			t.Fatalf("%s: Advise cost %+v, oracle %+v", ep.Name, res.Cost, oracleBest)
+		if adv.Result.Cost != oracleBest {
+			t.Fatalf("%s: Advise cost %+v, oracle %+v", ep.Name, adv.Result.Cost, oracleBest)
 		}
 		for _, e := range ep.Recovery {
 			if err := observe1(sel, e); err != nil {
@@ -184,14 +184,15 @@ func TestAdviseMatchesOracle(t *testing.T) {
 
 	// After every episode recovered, the selector must be back at the
 	// base state exactly.
+	st := sel.State()
 	for i, entry := range lib.Entries {
 		ev.EvaluateDemands(entry.W, nil, -1, nil, nil, &want)
-		if got := sel.Result(i); got.Cost != want.Cost || got.Violations != want.Violations {
+		if got := st.Configs[i].Result; got.Cost != want.Cost || got.Violations != want.Violations {
 			t.Fatalf("config %d did not return to base state: %+v vs %+v", i, got, want)
 		}
 	}
-	if sel.Events() == 0 || len(sel.DownLinks()) != 0 {
-		t.Fatalf("selector end state: %d events, %v down", sel.Events(), sel.DownLinks())
+	if st.Events == 0 || len(st.DownLinks) != 0 {
+		t.Fatalf("selector end state: %d events, %v down", st.Events, st.DownLinks)
 	}
 }
 
@@ -226,11 +227,11 @@ func TestSelectorObserveErrors(t *testing.T) {
 	if err := observe1(sel, scenario.Event{Kind: scenario.EventLinkDown, Link: 2}); err != nil {
 		t.Fatal(err)
 	}
-	before := sel.Result(0)
+	before := sel.State().Configs[0].Result
 	if err := observe1(sel, scenario.Event{Kind: scenario.EventLinkDown, Link: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := sel.Result(0); got.Cost != before.Cost {
+	if got := sel.State().Configs[0].Result; got.Cost != before.Cost {
 		t.Error("duplicate link-down changed the result")
 	}
 }
@@ -267,8 +268,8 @@ func TestSelectorDemandDedup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sel.Events() != 0 {
-		t.Fatalf("no-op demand events counted: %d", sel.Events())
+	if sel.State().Events != 0 {
+		t.Fatalf("no-op demand events counted: %d", sel.State().Events)
 	}
 
 	// A real surge counts, and repeating its dense rendering does not.
@@ -277,13 +278,13 @@ func TestSelectorDemandDedup(t *testing.T) {
 	if err := observe1(sel, scenario.Event{Kind: scenario.EventDemand, DemT: surgeT}); err != nil {
 		t.Fatal(err)
 	}
-	if sel.Events() != 1 {
-		t.Fatalf("surge not counted: %d events", sel.Events())
+	if sel.State().Events != 1 {
+		t.Fatalf("surge not counted: %d events", sel.State().Events)
 	}
 	if err := observe1(sel, scenario.Event{Kind: scenario.EventDemand, DemT: surgeT.Clone()}); err != nil {
 		t.Fatal(err)
 	}
-	if sel.Events() != 1 {
+	if sel.State().Events != 1 {
 		t.Fatal("repeated surge matrices fanned out again")
 	}
 	// A delta restating the surged value is also a no-op; one moving it
@@ -292,20 +293,21 @@ func TestSelectorDemandDedup(t *testing.T) {
 		DeltaT: &traffic.Delta{Entries: []traffic.DeltaEntry{{S: 0, T: 2, New: surgeT.At(0, 2)}}}}); err != nil {
 		t.Fatal(err)
 	}
-	if sel.Events() != 1 {
+	if sel.State().Events != 1 {
 		t.Fatal("no-op delta fanned out")
 	}
 	if err := observe1(sel, scenario.Event{Kind: scenario.EventDemandDelta,
 		DeltaT: &traffic.Delta{Entries: []traffic.DeltaEntry{{S: 0, T: 2, New: ev.DemandThroughput().At(0, 2)}}}}); err != nil {
 		t.Fatal(err)
 	}
-	if sel.Events() != 2 {
+	if sel.State().Events != 2 {
 		t.Fatal("restoring delta not counted")
 	}
 	var want routing.Result
+	st := sel.State()
 	for i := range ws {
 		ev.EvaluateDemands(ws[i], nil, -1, nil, nil, &want)
-		got := sel.Result(i)
+		got := st.Configs[i].Result
 		if got.Cost != want.Cost || got.Violations != want.Violations {
 			t.Fatalf("config %d not back at base after inverse delta: %+v vs %+v", i, got, want)
 		}
@@ -353,18 +355,18 @@ func TestSelectorDeltaMatchesDense(t *testing.T) {
 	if err := observe1(b, scenario.Event{Kind: scenario.EventDemand, DemD: surgedD}); err != nil {
 		t.Fatal(err)
 	}
+	sa, sb := a.State(), b.State()
 	for i := range ws {
-		ra, rb := a.Result(i), b.Result(i)
+		ra, rb := sa.Configs[i].Result, sb.Configs[i].Result
 		if ra.Cost != rb.Cost || ra.PhiNorm != rb.PhiNorm || ra.Violations != rb.Violations ||
 			ra.Disconnected != rb.Disconnected || ra.MaxUtil != rb.MaxUtil || ra.AvgUtil != rb.AvgUtil {
 			t.Fatalf("config %d: delta score %+v != dense score %+v", i, ra, rb)
 		}
 	}
-	da, _ := a.Demands()
-	if !da.Equal(surgedD) {
+	if !a.Checkpoint().DemD.Equal(surgedD) {
 		t.Fatal("selector's tracked demand state diverged from the dense rendering")
 	}
-	if ia, _ := a.Advise(); func() int { ib, _ := b.Advise(); return ib }() != ia {
+	if a.Advise().Config != b.Advise().Config {
 		t.Fatal("advice diverged between delta and dense paths")
 	}
 }

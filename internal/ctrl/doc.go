@@ -9,16 +9,19 @@
 //     internal/scenario) and running the two-phase optimizer once per
 //     cluster (opt.RunPhase2Set), stored with per-scenario objective
 //     fingerprints;
-//   - an event-driven Selector that consumes a telemetry stream (link
-//     up/down, dense demand-matrix updates, sparse demand deltas),
-//     keeps one persistent routing.Session per candidate configuration
-//     for incremental re-scoring, and picks the best library entry for
-//     the current conditions;
-//   - a migration Planner that turns "switch from W_cur to W_tgt" into
-//     a minimal-diff change set under a MaxChanges budget, with an
-//     apply order chosen greedily so every intermediate step is
-//     loop-free and SLA-evaluated, falling back to staged partial
-//     migration when the budget binds.
+//   - a migration planner (PlanMigration) that turns "switch from
+//     W_cur to W_tgt" into a minimal-diff change set under a MaxChanges
+//     budget, with an apply order chosen greedily so every intermediate
+//     step is loop-free and SLA-evaluated, falling back to staged
+//     partial migration when the budget binds;
+//   - the Selector, one per network and safe for concurrent use: it
+//     consumes a telemetry stream (link up/down, dense demand-matrix
+//     updates, sparse demand deltas), keeps one persistent
+//     routing.Session per candidate configuration for incremental
+//     re-scoring, advises the best library entry for the current
+//     conditions, owns the deployed weights, plans and applies
+//     migrations toward a configuration (refusing stale plans), and
+//     hands over and restores its Checkpoint state for crash recovery.
 //
 // Scoring is exact: the selector's per-configuration results and the
 // planner's per-step results are bit-identical to what the from-scratch

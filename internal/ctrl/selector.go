@@ -3,6 +3,7 @@ package ctrl
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -13,7 +14,7 @@ import (
 	"repro/internal/traffic"
 )
 
-// Selector is the event-driven half of the control plane: it tracks the
+// Selector is the control-plane core of one network. It tracks the
 // network's current conditions (which links are down, which demand
 // matrices are in effect) through a telemetry stream and keeps one
 // persistent routing.Session per library configuration, so every event
@@ -26,11 +27,22 @@ import (
 // each event by class: link events to SetLinkStates, dense demand
 // events to SetDemands, demand deltas to ApplyDemandDelta.
 //
-// A Selector is not safe for concurrent use; callers serialize access
-// (cmd/dtrd wraps one in a mutex).
+// The selector also owns the deployment: the weights in force and the
+// library configuration they equal. Plan computes a bounded-change
+// migration from the deployed weights toward a configuration under the
+// observed conditions and Apply commits it; Checkpoint hands over the
+// restorable state and Restore takes it back (internal/fleet builds
+// its crash recovery on the pair).
+//
+// A Selector is safe for concurrent use: one mutex serializes every
+// method but Validate, which reads only the network's shape and so
+// lets admission paths reject malformed batches without waiting for
+// selector work.
 type Selector struct {
-	ev       *routing.Evaluator
-	lib      *Library
+	ev  *routing.Evaluator
+	lib *Library
+
+	mu       sync.Mutex
 	sessions []*routing.Session
 	down     []bool
 	ndown    int
@@ -43,9 +55,9 @@ type Selector struct {
 	ownsDemD, ownsDemT bool
 	events             int
 	// Span causality: the trace and root-span IDs of the most recent
-	// traced ObserveBatch fan-out, so Advise and the migration planner
-	// can link their decisions to the telemetry event that prompted them.
-	// Zero while span recording is disabled.
+	// traced ObserveBatch fan-out, so Advise, Plan and Apply can link
+	// their decisions to the telemetry event that prompted them. Zero
+	// while span recording is disabled.
 	lastTrace, lastRoot uint64
 	// lastViol is the best candidate's violation count at the previous
 	// Advise, so SLA flight captures fire on degradation, not on every
@@ -53,10 +65,15 @@ type Selector struct {
 	lastViol int
 	// fan runs every candidate fan-out (see each).
 	fan par.Pool
+	// deployed is the weight setting in force; active is the library
+	// configuration it equals, -1 mid-migration.
+	deployed *routing.WeightSetting
+	active   int
 }
 
 // NewSelector builds a selector over the library, basing every
-// candidate session on the intact topology and base traffic.
+// candidate session on the intact topology and base traffic, and
+// deploys the configuration that scores best there.
 func NewSelector(ev *routing.Evaluator, lib *Library) (*Selector, error) {
 	if lib.Size() == 0 {
 		return nil, fmt.Errorf("ctrl: empty library")
@@ -76,17 +93,13 @@ func NewSelector(ev *routing.Evaluator, lib *Library) (*Selector, error) {
 		ses.Init(e.W)
 		s.sessions[i] = ses
 	}
+	s.active = s.advise().Config
+	s.deployed = lib.Entries[s.active].W.Clone()
 	return s, nil
 }
 
-// Library returns the library the selector serves.
-func (s *Selector) Library() *Library { return s.lib }
-
-// Events returns the number of telemetry events observed.
-func (s *Selector) Events() int { return s.events }
-
-// DownLinks returns the directed links currently marked down, ascending.
-func (s *Selector) DownLinks() []int {
+// downLinks returns the directed links currently marked down, ascending.
+func (s *Selector) downLinks() []int {
 	out := make([]int, 0, s.ndown)
 	for li, d := range s.down {
 		if d {
@@ -96,16 +109,10 @@ func (s *Selector) DownLinks() []int {
 	return out
 }
 
-// Demands returns the demand overrides currently in effect (nil = base
-// traffic of that class; after demand-delta events, a selector-owned
-// matrix holding the accumulated state). Callers must treat the
-// matrices as read-only.
-func (s *Selector) Demands() (demD, demT *traffic.Matrix) { return s.demD, s.demT }
-
-// Mask returns a fresh mask reflecting the selector's current link
-// state, for callers (the migration planner, oracle audits) that need
-// the conditions independently of the candidate sessions.
-func (s *Selector) Mask() *graph.Mask {
+// mask returns a fresh mask reflecting the observed link state, for the
+// evaluations (migration planning, the deployed score) that need the
+// conditions independently of the candidate sessions.
+func (s *Selector) mask() *graph.Mask {
 	mask := graph.NewMask(s.ev.Graph())
 	for li, d := range s.down {
 		if d {
@@ -117,8 +124,9 @@ func (s *Selector) Mask() *graph.Mask {
 
 // Validate checks an event's shape against the network — link index in
 // range, demand matrices sized to the node count, delta entries valid —
-// without touching any state. ObserveBatch validates a whole batch
-// upfront so a malformed event aborts before any mutation.
+// without touching any state or taking the lock. ObserveBatch validates
+// a whole batch upfront so a malformed event aborts before any
+// mutation.
 func (s *Selector) Validate(e scenario.Event) error {
 	n := s.ev.Graph().NumNodes()
 	switch e.Kind {
@@ -172,6 +180,8 @@ func (s *Selector) ObserveBatch(events []scenario.Event, trace, parent uint64) e
 	if len(events) == 0 {
 		return nil
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	m := met.Get()
 	var batchSpan *obsv.Span
 	if m != nil && len(events) > 1 {
@@ -300,67 +310,6 @@ func (s *Selector) foldDemand(e scenario.Event) bool {
 	return chgD || chgT
 }
 
-// Restore rebases a freshly built selector onto checkpointed
-// conditions: the listed directed links down, the given per-class
-// demand overrides in effect (nil = the base traffic of that class),
-// and the events counter at events. The selector takes ownership of
-// non-nil matrices — callers must pass private copies. The conditions
-// fold into every candidate session through the same incremental paths
-// a live telemetry stream takes, so the restored candidate scores are
-// bit-identical to those of a selector that observed the original
-// events (internal/fleet builds its crash recovery on this). Restore
-// must run before any telemetry: calling it on a selector that already
-// consumed events corrupts the down-link bookkeeping.
-func (s *Selector) Restore(down []int, demD, demT *traffic.Matrix, events int) error {
-	if s.events != 0 || s.ndown != 0 || s.demD != nil || s.demT != nil {
-		return fmt.Errorf("ctrl: Restore on a selector that already consumed telemetry")
-	}
-	n := s.ev.Graph().NumNodes()
-	if demD != nil && demD.Size() != n {
-		return fmt.Errorf("ctrl: restored demand matrix size %d does not match %d nodes", demD.Size(), n)
-	}
-	if demT != nil && demT.Size() != n {
-		return fmt.Errorf("ctrl: restored demand matrix size %d does not match %d nodes", demT.Size(), n)
-	}
-	if events < 0 {
-		return fmt.Errorf("ctrl: negative restored event count %d", events)
-	}
-	for _, li := range down {
-		if li < 0 || li >= len(s.down) {
-			return fmt.Errorf("ctrl: restored down link %d out of range [0,%d)", li, len(s.down))
-		}
-	}
-	changes := make([]routing.LinkStateChange, 0, len(down))
-	for _, li := range down {
-		if s.down[li] {
-			continue // duplicate in the checkpoint: one transition suffices
-		}
-		s.down[li] = true
-		s.ndown++
-		changes = append(changes, routing.LinkStateChange{Link: li, Up: false})
-	}
-	if len(changes) > 0 {
-		s.each(func(ses *routing.Session) { ses.SetLinkStates(changes) })
-	}
-	if demD != nil || demT != nil {
-		// Mirror the dense-event path: sessions alias the matrices passed
-		// to SetDemands, so the selector must not claim in-place mutation
-		// rights over them — a later delta clones first (clone-on-write),
-		// exactly as after an EventDemand.
-		s.demD, s.demT = demD, demT
-		s.ownsDemD, s.ownsDemT = false, false
-		s.each(func(ses *routing.Session) { ses.SetDemands(demD, demT) })
-	}
-	s.events = events
-	return nil
-}
-
-// TraceContext returns the trace and root-span IDs of the most recent
-// traced ObserveBatch fan-out (both zero while span recording is
-// disabled), so callers can attach downstream decision spans — the
-// migration plan, the apply — to the same trace.
-func (s *Selector) TraceContext() (trace, root uint64) { return s.lastTrace, s.lastRoot }
-
 // beginObserve starts the fan-out of one effective (non-deduplicated)
 // update of the given event class: it opens the class's observe span
 // and points every candidate session's span context at it, so the
@@ -448,15 +397,30 @@ func (s *Selector) each(fn func(*routing.Session)) {
 	s.fan.Run(runtime.GOMAXPROCS(0), len(s.sessions), func(_, i int) { fn(s.sessions[i]) })
 }
 
-// Result returns candidate i's evaluation under the current conditions.
-func (s *Selector) Result(i int) routing.Result { return s.sessions[i].Result() }
+// Advice reports the configuration the selector would run now.
+type Advice struct {
+	// Config and Name identify the best library configuration for the
+	// current conditions; Result is its bit-exact score there.
+	Config int
+	Name   string
+	Result routing.Result
+	// Active is the deployed configuration (-1 mid-migration);
+	// ShouldSwitch is Config != Active.
+	Active       int
+	ShouldSwitch bool
+}
 
-// Advise returns the index and evaluation of the library configuration
-// with the best objective (lexicographic ⟨Λ, Φ⟩) under the current
-// conditions; ties go to the lowest index. The evaluation is
-// bit-identical to a from-scratch Evaluator run of that configuration
-// under the selector's mask and demands.
-func (s *Selector) Advise() (int, routing.Result) {
+// Advise returns the library configuration with the best objective
+// (lexicographic ⟨Λ, Φ⟩) under the current conditions; ties go to the
+// lowest index. The evaluation is bit-identical to a from-scratch
+// Evaluator run of that configuration under the observed conditions.
+func (s *Selector) Advise() Advice {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.advise()
+}
+
+func (s *Selector) advise() Advice {
 	m := met.Get()
 	var sp *obsv.Span
 	if m != nil {
@@ -489,5 +453,11 @@ func (s *Selector) Advise() (int, routing.Result) {
 		}
 	}
 	s.lastViol = bestRes.Violations
-	return best, bestRes
+	return Advice{
+		Config:       best,
+		Name:         s.lib.Entries[best].Name,
+		Result:       bestRes,
+		Active:       s.active,
+		ShouldSwitch: best != s.active,
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"repro/internal/ctrl"
 	"repro/internal/routing"
 	"repro/internal/scenario"
 	"repro/internal/traffic"
@@ -27,11 +28,12 @@ const SnapshotVersion = 1
 // so a damaged file can never half-restore a shard.
 var ErrCorrupt = errors.New("fleet: corrupt checkpoint")
 
-// Snapshot is the durable state of one controller shard: everything
-// needed to rebuild a bit-identical controller on the same network and
-// library. Weights are int32 and demands are float64 — both round-trip
+// Snapshot is the on-disk form of one shard's ctrl.Checkpoint:
+// everything needed to rebuild a bit-identical selector on the same
+// network and library, tagged with the shard's identity and log
+// position. Weights are int32 and demands are float64 — both round-trip
 // exactly through JSON — so restoring a snapshot and replaying the
-// event log after it reproduces the live controller bit for bit.
+// event log after it reproduces the live selector bit for bit.
 type Snapshot struct {
 	// Version is the checkpoint format version (SnapshotVersion).
 	Version int `json:"version"`
@@ -53,6 +55,34 @@ type Snapshot struct {
 	// base traffic of that class).
 	DemD *traffic.Matrix `json:"demd,omitempty"`
 	DemT *traffic.Matrix `json:"demt,omitempty"`
+}
+
+// newSnapshot tags a selector checkpoint with the shard's network and
+// the event-log sequence number it covers.
+func newSnapshot(network string, seq uint64, c ctrl.Checkpoint) *Snapshot {
+	return &Snapshot{
+		Version:  SnapshotVersion,
+		Network:  network,
+		Seq:      seq,
+		Events:   c.Events,
+		Active:   c.Active,
+		Deployed: c.Deployed,
+		Down:     c.Down,
+		DemD:     c.DemD,
+		DemT:     c.DemT,
+	}
+}
+
+// checkpoint returns the selector state the snapshot records.
+func (s *Snapshot) checkpoint() ctrl.Checkpoint {
+	return ctrl.Checkpoint{
+		Events:   s.Events,
+		Active:   s.Active,
+		Deployed: s.Deployed,
+		Down:     s.Down,
+		DemD:     s.DemD,
+		DemT:     s.DemT,
+	}
 }
 
 // wireEvent is the event-log form of a scenario.Event, using the same

@@ -9,20 +9,21 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ctrl"
 	"repro/internal/scenario"
 )
 
 // populateCheckpoint writes a realistic checkpoint — a mid-stream
 // snapshot plus a non-empty event-log tail — straight through the
 // Store, returning the directory and the factory that rebuilds its
-// controller. (A graceful Shard.Close flushes a final checkpoint and
+// selector. (A graceful Shard.Close flushes a final checkpoint and
 // resets the log, so this builds the "crashed mid-stream" layout the
 // corruption cases need.)
-func populateCheckpoint(t *testing.T) (string, func() (*Controller, error)) {
+func populateCheckpoint(t testing.TB) (string, func() (*ctrl.Selector, error)) {
 	t.Helper()
 	ev := testEvaluator(t, 8, 40, 21)
 	lib := testLibrary(t, ev, 3, 22)
-	factory := func() (*Controller, error) { return NewController(ev, lib) }
+	factory := func() (*ctrl.Selector, error) { return ctrl.NewSelector(ev, lib) }
 	c, err := factory()
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +37,7 @@ func populateCheckpoint(t *testing.T) (string, func() (*Controller, error)) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteSnapshot(c.Snapshot("net0", 40)); err != nil {
+	if err := st.WriteSnapshot(newSnapshot("net0", 40, c.Checkpoint())); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Append(41, stream[40:]); err != nil {
@@ -48,122 +49,126 @@ func populateCheckpoint(t *testing.T) (string, func() (*Controller, error)) {
 	return dir, factory
 }
 
+// checkpointDamage lists the ways a checkpoint directory written by
+// populateCheckpoint gets damaged on disk, each with the diagnosis Load
+// must give.
+var checkpointDamage = []struct {
+	name    string
+	corrupt func(t testing.TB, dir string)
+	wantErr string
+}{
+	{
+		name: "truncated snapshot",
+		corrupt: func(t testing.TB, dir string) {
+			p := filepath.Join(dir, "snapshot.json")
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, data[:len(data)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		wantErr: "unparseable",
+	},
+	{
+		name: "version mismatch",
+		corrupt: func(t testing.TB, dir string) {
+			p := filepath.Join(dir, "snapshot.json")
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := strings.Replace(string(data), `"version":1`, `"version":99`, 1)
+			if s == string(data) {
+				t.Fatal("version field not found in snapshot")
+			}
+			if err := os.WriteFile(p, []byte(s), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		wantErr: "format version 99",
+	},
+	{
+		name: "torn log tail",
+		corrupt: func(t testing.TB, dir string) {
+			p := filepath.Join(dir, "events.log")
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(data) < 10 {
+				t.Fatalf("log too small to tear: %d bytes", len(data))
+			}
+			if err := os.WriteFile(p, data[:len(data)-7], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		wantErr: "torn final record",
+	},
+	{
+		name: "garbled log line",
+		corrupt: func(t testing.TB, dir string) {
+			p := filepath.Join(dir, "events.log")
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(data[2:], "\x00\x01garbage")
+			if err := os.WriteFile(p, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		wantErr: "unparseable",
+	},
+	{
+		name: "sequence gap",
+		corrupt: func(t testing.TB, dir string) {
+			p := filepath.Join(dir, "events.log")
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.SplitAfter(string(data), "\n")
+			if len(lines) < 4 {
+				t.Fatalf("log has only %d lines", len(lines))
+			}
+			// Drop a middle record: the run is no longer contiguous.
+			out := strings.Join(append(lines[:1], lines[2:]...), "")
+			if err := os.WriteFile(p, []byte(out), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		wantErr: "sequence gap",
+	},
+	{
+		name: "log disconnected from snapshot",
+		corrupt: func(t testing.TB, dir string) {
+			p := filepath.Join(dir, "events.log")
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.SplitAfter(string(data), "\n")
+			if len(lines) < 3 {
+				t.Fatalf("log has only %d lines", len(lines))
+			}
+			// Drop the first records: replay can no longer start at
+			// snapshot seq + 1.
+			if err := os.WriteFile(p, []byte(strings.Join(lines[2:], "")), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		wantErr: "sequence gap",
+	},
+}
+
 // TestCheckpointCorruption proves every damage mode fails closed: Load
 // reports ErrCorrupt (never partial data), and a shard recovering from
 // the damaged directory falls back to a cold start with the damaged
 // files archived for forensics — it never half-restores.
 func TestCheckpointCorruption(t *testing.T) {
-	cases := []struct {
-		name    string
-		corrupt func(t *testing.T, dir string)
-		wantErr string
-	}{
-		{
-			name: "truncated snapshot",
-			corrupt: func(t *testing.T, dir string) {
-				p := filepath.Join(dir, "snapshot.json")
-				data, err := os.ReadFile(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(p, data[:len(data)/2], 0o644); err != nil {
-					t.Fatal(err)
-				}
-			},
-			wantErr: "unparseable",
-		},
-		{
-			name: "version mismatch",
-			corrupt: func(t *testing.T, dir string) {
-				p := filepath.Join(dir, "snapshot.json")
-				data, err := os.ReadFile(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s := strings.Replace(string(data), `"version":1`, `"version":99`, 1)
-				if s == string(data) {
-					t.Fatal("version field not found in snapshot")
-				}
-				if err := os.WriteFile(p, []byte(s), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			},
-			wantErr: "format version 99",
-		},
-		{
-			name: "torn log tail",
-			corrupt: func(t *testing.T, dir string) {
-				p := filepath.Join(dir, "events.log")
-				data, err := os.ReadFile(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(data) < 10 {
-					t.Fatalf("log too small to tear: %d bytes", len(data))
-				}
-				if err := os.WriteFile(p, data[:len(data)-7], 0o644); err != nil {
-					t.Fatal(err)
-				}
-			},
-			wantErr: "torn final record",
-		},
-		{
-			name: "garbled log line",
-			corrupt: func(t *testing.T, dir string) {
-				p := filepath.Join(dir, "events.log")
-				data, err := os.ReadFile(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				copy(data[2:], "\x00\x01garbage")
-				if err := os.WriteFile(p, data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			},
-			wantErr: "unparseable",
-		},
-		{
-			name: "sequence gap",
-			corrupt: func(t *testing.T, dir string) {
-				p := filepath.Join(dir, "events.log")
-				data, err := os.ReadFile(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lines := strings.SplitAfter(string(data), "\n")
-				if len(lines) < 4 {
-					t.Fatalf("log has only %d lines", len(lines))
-				}
-				// Drop a middle record: the run is no longer contiguous.
-				out := strings.Join(append(lines[:1], lines[2:]...), "")
-				if err := os.WriteFile(p, []byte(out), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			},
-			wantErr: "sequence gap",
-		},
-		{
-			name: "log disconnected from snapshot",
-			corrupt: func(t *testing.T, dir string) {
-				p := filepath.Join(dir, "events.log")
-				data, err := os.ReadFile(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lines := strings.SplitAfter(string(data), "\n")
-				if len(lines) < 3 {
-					t.Fatalf("log has only %d lines", len(lines))
-				}
-				// Drop the first records: replay can no longer start at
-				// snapshot seq + 1.
-				if err := os.WriteFile(p, []byte(strings.Join(lines[2:], "")), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			},
-			wantErr: "sequence gap",
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range checkpointDamage {
 		t.Run(tc.name, func(t *testing.T) {
 			dir, factory := populateCheckpoint(t)
 			tc.corrupt(t, dir)
@@ -240,7 +245,7 @@ func TestCheckpointNoDir(t *testing.T) {
 	lib := testLibrary(t, ev, 3, 32)
 	sh, err := NewShard(ShardConfig{
 		Network: "net0",
-		Factory: func() (*Controller, error) { return NewController(ev, lib) },
+		Factory: func() (*ctrl.Selector, error) { return ctrl.NewSelector(ev, lib) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +273,7 @@ func TestSnapshotLibraryMismatch(t *testing.T) {
 	otherLib := testLibrary(t, ev, 3, 77) // different weights
 	sh, err := NewShard(ShardConfig{
 		Network: "net0",
-		Factory: func() (*Controller, error) { return NewController(ev, otherLib) },
+		Factory: func() (*ctrl.Selector, error) { return ctrl.NewSelector(ev, otherLib) },
 		Dir:     dir,
 	})
 	if err != nil {
@@ -293,13 +298,13 @@ func TestCloseCutShortKeepsLog(t *testing.T) {
 	ev := testEvaluator(t, 8, 40, 5)
 	lib := testLibrary(t, ev, 3, 6)
 	twinEv := testEvaluator(t, 8, 40, 5)
-	twin, err := NewController(twinEv, testLibrary(t, twinEv, 3, 6))
+	twin, err := ctrl.NewSelector(twinEv, testLibrary(t, twinEv, 3, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := ShardConfig{
 		Network: "net0",
-		Factory: func() (*Controller, error) { return NewController(ev, lib) },
+		Factory: func() (*ctrl.Selector, error) { return ctrl.NewSelector(ev, lib) },
 		Dir:     t.TempDir(),
 	}
 	sh, err := NewShard(cfg)

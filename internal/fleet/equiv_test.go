@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/ctrl"
 )
 
 // TestKillRestoreEquivalence is the recovery proof for the checkpoint
@@ -39,7 +41,7 @@ func testKillRestoreEquivalence(t *testing.T, nodes, links int, seed int64) {
 	twinEv := testEvaluator(t, nodes, links, seed) // same seed: identical network
 	twinLib := testLibrary(t, twinEv, 4, seed+100)
 
-	twin, err := NewController(twinEv, twinLib)
+	twin, err := ctrl.NewSelector(twinEv, twinLib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func testKillRestoreEquivalence(t *testing.T, nodes, links int, seed int64) {
 	dir := t.TempDir()
 	sh, err := NewShard(ShardConfig{
 		Network: "net0",
-		Factory: func() (*Controller, error) { return NewController(ev, lib) },
+		Factory: func() (*ctrl.Selector, error) { return ctrl.NewSelector(ev, lib) },
 		Dir:     dir,
 		// No automatic interval: the test drives checkpoints itself so
 		// kill points land both before and after snapshots.
@@ -106,7 +108,7 @@ func testKillRestoreEquivalence(t *testing.T, nodes, links int, seed int64) {
 	}
 	sh2, err := NewShard(ShardConfig{
 		Network: "net0",
-		Factory: func() (*Controller, error) { return NewController(ev, lib) },
+		Factory: func() (*ctrl.Selector, error) { return ctrl.NewSelector(ev, lib) },
 		Dir:     dir,
 	})
 	if err != nil {
@@ -135,7 +137,7 @@ func TestShardCheckpointTick(t *testing.T) {
 	lib := testLibrary(t, ev, 3, 6)
 	sh, err := NewShard(ShardConfig{
 		Network:            "net0",
-		Factory:            func() (*Controller, error) { return NewController(ev, lib) },
+		Factory:            func() (*ctrl.Selector, error) { return ctrl.NewSelector(ev, lib) },
 		Dir:                t.TempDir(),
 		CheckpointInterval: 10 * time.Millisecond,
 	})

@@ -96,7 +96,7 @@ func eventStream(ev *routing.Evaluator, n int, seed int64) []scenario.Event {
 // advice, same full state (every candidate score, down-link set,
 // demand-derived evaluations), and same migration plan toward the
 // advised configuration.
-func requireSameState(t *testing.T, want, got *Controller, label string) {
+func requireSameState(t *testing.T, want, got *ctrl.Selector, label string) {
 	t.Helper()
 	wa, ga := want.Advise(), got.Advise()
 	if !reflect.DeepEqual(wa, ga) {

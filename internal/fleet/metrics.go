@@ -32,7 +32,7 @@ var met = obsv.NewView(func(r *obsv.Registry) *metrics {
 		shards: r.Gauge("fleet_shards",
 			"Controller shards owned by the fleet."),
 		unknown: r.Counter("fleet_unknown_network_total",
-			"Telemetry batches rejected because they named no known network."),
+			"Requests (telemetry batches and queries) rejected because they named no known network."),
 		ckptSec: r.Histogram("fleet_checkpoint_seconds",
 			"Checkpoint latency: quiesce, snapshot encode, atomic replace, log reset.", obsv.LatencyBuckets),
 	}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ctrl"
 	"repro/internal/ingest"
 	"repro/internal/scenario"
 )
@@ -54,11 +55,11 @@ const (
 type ShardConfig struct {
 	// Network names the shard; telemetry is routed to it by this name.
 	Network string
-	// Factory builds the shard's controller from scratch (cold start);
+	// Factory builds the shard's selector from scratch (cold start);
 	// crash recovery calls it again and replays the checkpoint on top.
-	// It must produce a controller on the same network and library every
+	// It must produce a selector on the same network and library every
 	// time, or restored checkpoints will fail validation.
-	Factory func() (*Controller, error)
+	Factory func() (*ctrl.Selector, error)
 	// Dir is the shard's checkpoint directory ("" disables durability:
 	// no snapshots, no event log, crash recovery cold-starts).
 	Dir string
@@ -74,12 +75,12 @@ type ShardConfig struct {
 	Tap func(events []scenario.Event)
 }
 
-// Shard is one network's controller behind its own intake queue and
+// Shard is one network's ctrl.Selector behind its own intake queue and
 // durable checkpoint: admissions append to an event log in admission
 // order before they count as accepted, periodic checkpoints fold the
 // log into an atomically replaced snapshot, and a delivery panic
-// restarts the controller from snapshot+replay without taking down the
-// process — the write-ahead log makes the rebuilt controller
+// restarts the selector from snapshot+replay without taking down the
+// process — the write-ahead log makes the rebuilt selector
 // bit-identical to one that never crashed. All methods are safe for
 // concurrent use.
 type Shard struct {
@@ -89,7 +90,7 @@ type Shard struct {
 	// mu serializes admissions (so the event log matches admission
 	// order), lifecycle transitions and checkpoints.
 	mu          sync.Mutex
-	ctrl        *Controller
+	sel         *ctrl.Selector
 	intake      *ingest.Intake
 	sink        *shardSink
 	seq         uint64 // shard-wide sequence of the last admitted event
@@ -145,28 +146,28 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	return s, nil
 }
 
-// build constructs the controller (recovering from the store when
+// build constructs the selector (recovering from the store when
 // present) and a fresh sink + intake generation. Callers hold mu or
 // have exclusive access.
 func (s *Shard) build() error {
-	c, err := s.recover()
+	sel, err := s.recover()
 	if err != nil {
 		return err
 	}
-	s.ctrl = c
-	s.sink = &shardSink{s: s, c: c}
+	s.sel = sel
+	s.sink = &shardSink{s: s, sel: sel}
 	s.intake = ingest.New(ingest.Config{Capacity: s.cfg.Capacity, Tap: s.cfg.Tap}, s.sink)
 	return nil
 }
 
-// recover produces the shard's controller: a plain cold start without a
+// recover produces the shard's selector: a plain cold start without a
 // store; otherwise snapshot restore + log replay, falling back to a
 // cold start on any corruption. Only a Factory error propagates.
-func (s *Shard) recover() (*Controller, error) {
+func (s *Shard) recover() (*ctrl.Selector, error) {
 	if s.store == nil {
 		if s.crashes > 0 {
 			// A non-durable shard has nothing to restore from: the crash
-			// lost all controller state and the rebuild starts from zero.
+			// lost all selector state and the rebuild starts from zero.
 			s.seq, s.replayed = 0, 0
 			s.coldStart = true
 			s.restoreErr = "no checkpoint store: crash reset the controller state"
@@ -181,12 +182,12 @@ func (s *Shard) recover() (*Controller, error) {
 	if err != nil {
 		return s.recoverCold(err)
 	}
-	c, err := s.cfg.Factory()
+	sel, err := s.cfg.Factory()
 	if err != nil {
 		return nil, err
 	}
 	if snap != nil {
-		if err := c.Restore(snap); err != nil {
+		if err := sel.Restore(snap.checkpoint()); err != nil {
 			return s.recoverCold(fmt.Errorf("%w: %v", ErrCorrupt, err))
 		}
 		s.seq = snap.Seq
@@ -196,7 +197,7 @@ func (s *Shard) recover() (*Controller, error) {
 		for i, r := range recs {
 			events[i], _ = r.Event.event() // decodability validated by Load
 		}
-		if err := replay(c, events); err != nil {
+		if err := replay(sel, events); err != nil {
 			return s.recoverCold(fmt.Errorf("%w: log replay: %v", ErrCorrupt, err))
 		}
 		s.seq = recs[len(recs)-1].Seq
@@ -205,12 +206,12 @@ func (s *Shard) recover() (*Controller, error) {
 			m.replayed(s.cfg.Network).Add(int64(len(events)))
 		}
 	}
-	return c, nil
+	return sel, nil
 }
 
 // recoverCold archives the corrupt checkpoint and builds a fresh
-// controller; the shard starts from zero with the cause on record.
-func (s *Shard) recoverCold(cause error) (*Controller, error) {
+// selector; the shard starts from zero with the cause on record.
+func (s *Shard) recoverCold(cause error) (*ctrl.Selector, error) {
 	s.seq, s.replayed = 0, 0
 	s.coldStart, s.restoreErr = true, cause.Error()
 	if err := s.store.Discard(); err != nil {
@@ -222,23 +223,23 @@ func (s *Shard) recoverCold(cause error) (*Controller, error) {
 	return s.cfg.Factory()
 }
 
-// replay folds checkpointed events into a freshly restored controller,
+// replay folds checkpointed events into a freshly restored selector,
 // converting a panic (state so damaged it crashes the selector) into an
 // error so recovery can fall back to a cold start.
-func replay(c *Controller, events []scenario.Event) (err error) {
+func replay(sel *ctrl.Selector, events []scenario.Event) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	return c.ObserveBatch(events, 0, 0)
+	return sel.ObserveBatch(events, 0, 0)
 }
 
 // Network returns the shard's network name.
 func (s *Shard) Network() string { return s.cfg.Network }
 
 // SetDeliveryHook installs fn to run on every delivered batch, inside
-// the shard's panic isolation, before the controller sees the events.
+// the shard's panic isolation, before the selector sees the events.
 // Tests use it to inject crashes and to observe delivery order; pass
 // nil to remove it.
 func (s *Shard) SetDeliveryHook(fn func([]scenario.Event)) {
@@ -255,7 +256,7 @@ func (s *Shard) deliveryHook() func([]scenario.Event) {
 
 // Enqueue validates and admits a batch whole or not at all, appending
 // it to the event log (when durable) in admission order before
-// acknowledging. Accepted events are delivered to the controller
+// acknowledging. Accepted events are delivered to the selector
 // asynchronously, in order; ErrFull sheds the batch under backpressure,
 // ErrShardDown rejects it while a crash restart is in progress, and a
 // validation error rejects it before admission. lastSeq is the
@@ -275,7 +276,7 @@ func (s *Shard) Enqueue(events []scenario.Event) (lastSeq uint64, err error) {
 		return 0, ingest.ErrClosed
 	}
 	for i := range events {
-		if err := s.ctrl.Validate(events[i]); err != nil {
+		if err := s.sel.Validate(events[i]); err != nil {
 			return 0, fmt.Errorf("event %d: %w", i, err)
 		}
 	}
@@ -311,17 +312,17 @@ func (s *Shard) Feed(events []scenario.Event) error {
 	return nil
 }
 
-// Controller returns the shard's live controller for queries and
+// Controller returns the shard's live selector for queries and
 // migrations (Advise, Plan, Apply, State). It fails with ErrShardDown
-// while a crash restart is rebuilding the controller.
-func (s *Shard) Controller() (*Controller, error) {
+// while a crash restart is rebuilding the selector.
+func (s *Shard) Controller() (*ctrl.Selector, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch s.state {
 	case StateRestarting, StateFailed:
 		return nil, fmt.Errorf("%w: %s is %s", ErrShardDown, s.cfg.Network, s.state)
 	}
-	return s.ctrl, nil
+	return s.sel, nil
 }
 
 // Pause holds deliveries (queued events accumulate) until Resume.
@@ -354,7 +355,7 @@ func (s *Shard) Resume() error {
 	return nil
 }
 
-// Quiesce blocks until every accepted event has reached the controller
+// Quiesce blocks until every accepted event has reached the selector
 // — the read-your-writes barrier between Enqueue and Advise/State. On a
 // paused shard with queued events it blocks until Resume.
 func (s *Shard) Quiesce() {
@@ -371,7 +372,7 @@ func (s *Shard) Quiesce() {
 // block for the duration. It fails on a shard without a checkpoint
 // directory, on a paused shard with queued events (delivering them
 // would break the pause), and when a crash lands mid-checkpoint (the
-// controller state is suspect; the pre-crash checkpoint plus the log
+// selector state is suspect; the pre-crash checkpoint plus the log
 // still recover everything admitted).
 func (s *Shard) Checkpoint() error {
 	s.mu.Lock()
@@ -407,11 +408,11 @@ func (s *Shard) checkpointLocked() error {
 }
 
 // commitLocked commits one checkpoint: it replaces the snapshot with
-// the controller's state at the current sequence and resets the event
+// the selector's state at the current sequence and resets the event
 // log, whose records the snapshot now covers. Callers hold mu with the
 // queue drained.
 func (s *Shard) commitLocked() error {
-	if err := s.store.WriteSnapshot(s.ctrl.Snapshot(s.cfg.Network, s.seq)); err != nil {
+	if err := s.store.WriteSnapshot(newSnapshot(s.cfg.Network, s.seq, s.sel.Checkpoint())); err != nil {
 		return err
 	}
 	if err := s.store.ResetLog(); err != nil {
@@ -425,7 +426,7 @@ func (s *Shard) commitLocked() error {
 	return nil
 }
 
-// Kill simulates a delivery crash: the current controller generation is
+// Kill simulates a delivery crash: the current selector generation is
 // condemned and rebuilt from checkpoint synchronously, exactly as a
 // panic in the delivery path would (but without waiting for one).
 // Operators can use it to force a restore; tests use it to prove
@@ -440,9 +441,9 @@ func (s *Shard) Kill() {
 	s.restart(sink)
 }
 
-// restart retires a condemned controller generation and rebuilds from
+// restart retires a condemned selector generation and rebuilds from
 // checkpoint: drain the dead intake (its deliveries fail fast), then
-// recover a fresh controller + sink + intake under mu. Runs at most
+// recover a fresh selector + sink + intake under mu. Runs at most
 // once per generation (the sink's dead flag gates it).
 func (s *Shard) restart(old *shardSink) {
 	s.mu.Lock()
@@ -545,7 +546,7 @@ func (s *Shard) RefreshMetrics() {
 }
 
 // Close stops admissions, drains everything already accepted, flushes a
-// final checkpoint (when durable, the controller is healthy and the
+// final checkpoint (when durable, the selector is healthy and the
 // drain delivered everything), and releases the store. A crashed shard,
 // or one whose drain ctx cut short, skips the final checkpoint — its
 // last snapshot plus the event log already cover every admitted event,
@@ -592,8 +593,8 @@ func (s *Shard) setUp(v float64) {
 	}
 }
 
-// shardSink is one controller generation's delivery adapter: it runs
-// the test hook and the controller's batch observe inside a panic
+// shardSink is one selector generation's delivery adapter: it runs
+// the test hook and the selector's batch observe inside a panic
 // barrier. A panic condemns the generation (dead flag) — subsequent
 // deliveries fail fast so the queue drains — and triggers an
 // asynchronous restart from checkpoint. The restart goroutine must not
@@ -601,7 +602,7 @@ func (s *Shard) setUp(v float64) {
 // while it waits for this very queue to drain.
 type shardSink struct {
 	s    *Shard
-	c    *Controller
+	sel  *ctrl.Selector
 	dead atomic.Bool
 }
 
@@ -620,5 +621,5 @@ func (k *shardSink) ObserveBatch(events []scenario.Event, trace, parent uint64) 
 	if h := k.s.deliveryHook(); h != nil {
 		h(events)
 	}
-	return k.c.ObserveBatch(events, trace, parent)
+	return k.sel.ObserveBatch(events, trace, parent)
 }

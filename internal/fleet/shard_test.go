@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ctrl"
 	"repro/internal/ingest"
 	"repro/internal/scenario"
 )
@@ -16,24 +17,24 @@ import (
 // testShards builds one shard per network, each on its own seeded
 // topology, plus an uninterrupted twin controller per network on an
 // identical copy of that topology; the shards close at cleanup.
-func testShards(t *testing.T, networks []string, dir string) (map[string]*Shard, map[string]*Controller) {
+func testShards(t *testing.T, networks []string, dir string) (map[string]*Shard, map[string]*ctrl.Selector) {
 	t.Helper()
 	shards := make(map[string]*Shard, len(networks))
-	twins := make(map[string]*Controller, len(networks))
+	twins := make(map[string]*ctrl.Selector, len(networks))
 	for i, name := range networks {
 		seed := int64(40 + i)
 		ev := testEvaluator(t, 8, 40, seed)
 		lib := testLibrary(t, ev, 3, seed+100)
 		twinEv := testEvaluator(t, 8, 40, seed)
 		twinLib := testLibrary(t, twinEv, 3, seed+100)
-		twin, err := NewController(twinEv, twinLib)
+		twin, err := ctrl.NewSelector(twinEv, twinLib)
 		if err != nil {
 			t.Fatal(err)
 		}
 		twins[name] = twin
 		cfg := ShardConfig{
 			Network: name,
-			Factory: func() (*Controller, error) { return NewController(ev, lib) },
+			Factory: func() (*ctrl.Selector, error) { return ctrl.NewSelector(ev, lib) },
 		}
 		if dir != "" {
 			cfg.Dir = dir + "/" + name

@@ -107,20 +107,20 @@ func (g *streamGen) next() scenario.Event {
 // candidate, the down-link set and the effective demand matrices.
 func compareSelectors(t *testing.T, seq, bat *ctrl.Selector, ev *routing.Evaluator, at string) {
 	t.Helper()
-	for i := 0; i < seq.Library().Size(); i++ {
-		rs, rb := seq.Result(i), bat.Result(i)
+	ss, bs := seq.State(), bat.State()
+	for i := range ss.Configs {
+		rs, rb := ss.Configs[i].Result, bs.Configs[i].Result
 		if rs.Cost != rb.Cost || rs.PhiNorm != rb.PhiNorm || rs.Violations != rb.Violations ||
 			rs.Disconnected != rb.Disconnected || rs.MaxUtil != rb.MaxUtil || rs.AvgUtil != rb.AvgUtil {
 			t.Fatalf("%s: candidate %d diverged:\n  sequential %+v\n  batched    %+v", at, i, rs, rb)
 		}
 	}
-	is, rs := seq.Advise()
-	ib, rb := bat.Advise()
-	if is != ib || rs.Cost != rb.Cost {
-		t.Fatalf("%s: advise diverged: sequential (%d, %v), batched (%d, %v)", at, is, rs.Cost, ib, rb.Cost)
+	sa, ba := seq.Advise(), bat.Advise()
+	if sa.Config != ba.Config || sa.Result.Cost != ba.Result.Cost {
+		t.Fatalf("%s: advise diverged: sequential (%d, %v), batched (%d, %v)", at, sa.Config, sa.Result.Cost, ba.Config, ba.Result.Cost)
 	}
-	if !reflect.DeepEqual(seq.DownLinks(), bat.DownLinks()) {
-		t.Fatalf("%s: down links diverged: %v vs %v", at, seq.DownLinks(), bat.DownLinks())
+	if !reflect.DeepEqual(ss.DownLinks, bs.DownLinks) {
+		t.Fatalf("%s: down links diverged: %v vs %v", at, ss.DownLinks, bs.DownLinks)
 	}
 	eff := func(m, base *traffic.Matrix) *traffic.Matrix {
 		if m == nil {
@@ -128,10 +128,9 @@ func compareSelectors(t *testing.T, seq, bat *ctrl.Selector, ev *routing.Evaluat
 		}
 		return m
 	}
-	sD, sT := seq.Demands()
-	bD, bT := bat.Demands()
-	if !eff(sD, ev.DemandDelay()).Equal(eff(bD, ev.DemandDelay())) ||
-		!eff(sT, ev.DemandThroughput()).Equal(eff(bT, ev.DemandThroughput())) {
+	sc, bc := seq.Checkpoint(), bat.Checkpoint()
+	if !eff(sc.DemD, ev.DemandDelay()).Equal(eff(bc.DemD, ev.DemandDelay())) ||
+		!eff(sc.DemT, ev.DemandThroughput()).Equal(eff(bc.DemT, ev.DemandThroughput())) {
 		t.Fatalf("%s: effective demand matrices diverged", at)
 	}
 }

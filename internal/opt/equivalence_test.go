@@ -59,9 +59,28 @@ func requireSameEstimate(t *testing.T, label string, got, want core.Criticality)
 	}
 }
 
+// solution is the output of the complete heuristic of Fig. 1 as
+// runPipeline drives it.
+type solution struct {
+	Phase1   *Phase1Result
+	Phase2   *Phase2Result
+	Critical []int
+}
+
+// runPipeline runs Phase 1, the Phase 1b top-up, the Phase 1c critical
+// link selection at the configured |Ec|/|E|, and Phase 2 against the
+// selected links — the phase sequence the facade's Optimize runs.
+func runPipeline(o *Optimizer) solution {
+	p1 := o.RunPhase1()
+	o.TopUpSamples(p1)
+	critical := o.SelectCritical(p1, o.cfg.TargetCriticalFrac)
+	p2 := o.RunPhase2(p1, FailureSet{Links: critical, Both: o.cfg.FailBoth})
+	return solution{Phase1: p1, Phase2: p2, Critical: critical}
+}
+
 // TestIncrementalMatchesFullEval is the refactor's acceptance bar: the
 // session-based Phase 1/Phase 2 pipeline must produce bit-identical
-// Solutions (weights, costs, Phase 1b samples, critical set) to the
+// solutions (weights, costs, Phase 1b samples, critical set) to the
 // from-scratch full-evaluation path under the same seeds, on more than
 // one topology family and under both failure semantics.
 func TestIncrementalMatchesFullEval(t *testing.T) {
@@ -83,11 +102,11 @@ func TestIncrementalMatchesFullEval(t *testing.T) {
 
 			cfgFull := cfg
 			cfgFull.FullEval = true
-			full := New(equivalenceEvaluator(t, tc.kind, tc.nodes, tc.links, 21), cfgFull).Run()
+			full := runPipeline(New(equivalenceEvaluator(t, tc.kind, tc.nodes, tc.links, 21), cfgFull))
 
 			cfgInc := cfg
 			cfgInc.FullEval = false
-			inc := New(equivalenceEvaluator(t, tc.kind, tc.nodes, tc.links, 21), cfgInc).Run()
+			inc := runPipeline(New(equivalenceEvaluator(t, tc.kind, tc.nodes, tc.links, 21), cfgInc))
 
 			// Phase 1: same best weights, same cost, same pool.
 			if !full.Phase1.BestW.Equal(inc.Phase1.BestW) {
@@ -212,10 +231,10 @@ func TestParallelismMatchesSerial(t *testing.T) {
 	cfg.MaxIter1, cfg.Div1Interval = 1, 1
 	cfg.MaxIter2, cfg.Div2Interval = 1, 1
 	cfg.TargetCriticalFrac = 0.02
-	run := func(procs int) *Solution {
+	run := func(procs int) solution {
 		runtime.GOMAXPROCS(procs)
 		before := parTasks.Value()
-		sol := New(equivalenceEvaluator(t, topogen.RandKind, 70, 280, 23), cfg).Run()
+		sol := runPipeline(New(equivalenceEvaluator(t, topogen.RandKind, 70, 280, 23), cfg))
 		if fanned := parTasks.Value() > before; fanned != (procs > 1) {
 			t.Errorf("GOMAXPROCS %d: session regions fanned out = %v", procs, fanned)
 		}

@@ -199,30 +199,6 @@ func TestPhase2NodeFailureObjective(t *testing.T) {
 	}
 }
 
-func TestRunPipeline(t *testing.T) {
-	ev := testEvaluator(t, 9)
-	o := New(ev, testConfig())
-	sol := o.Run()
-	if sol.Phase1 == nil || sol.Phase2 == nil {
-		t.Fatal("missing phase results")
-	}
-	if len(sol.Critical) == 0 {
-		t.Error("no critical links")
-	}
-	if len(sol.Criticality.RhoLambda) != ev.Graph().NumLinks() {
-		t.Error("criticality size mismatch")
-	}
-}
-
-func TestRunFullSearch(t *testing.T) {
-	ev := testEvaluator(t, 10)
-	o := New(ev, testConfig())
-	sol := o.RunFullSearch()
-	if len(sol.Critical) != ev.Graph().NumLinks() {
-		t.Errorf("full search must target all %d links, got %d", ev.Graph().NumLinks(), len(sol.Critical))
-	}
-}
-
 // TestFailureSetRenderingOrder: a FailureSet renders links first, then
 // nodes, in the order listed, and the runner evaluates the rendering in
 // that order.

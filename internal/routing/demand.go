@@ -13,36 +13,19 @@ import (
 // contributions and Λ subtotals, and the session's recompute tail
 // (recompute, with every touched destination classified DAG-only)
 // already maintains the link aggregates and the delay DP ripple in the
-// bit-exact re-summation order. An update that moves most columns falls
-// back to the full Init rebase — same bits, and the delta bookkeeping
-// would only add overhead. See DESIGN.md ("The demand-delta engine").
-
-// demandRebaseFracDefault is the default fallback threshold: a demand
-// update changing more than this fraction of the 2n destination columns
-// (n per class) rebases from scratch instead of refreshing per column.
-const demandRebaseFracDefault = 0.5
-
-// SetDemandRebaseThreshold tunes the demand-update fallback: updates
-// changing more than frac of the 2n destination columns re-base with a
-// full Init instead of the incremental column refresh. frac 0 forces
-// every demand update down the full-rebase path (the pre-delta
-// behavior, kept as the benchmark baseline and test oracle); frac 1
-// never falls back. Values are clamped to [0, 1]; the default is 0.5.
-// Both paths produce bit-identical results — the threshold trades only
-// constant factors.
-func (s *Session) SetDemandRebaseThreshold(frac float64) {
-	s.rebaseFrac = min(max(frac, 0), 1)
-}
+// bit-exact re-summation order. That holds however many columns move: a
+// dense update that changes every column still costs no Dijkstra, and
+// measures under half a full Init rebase. See DESIGN.md ("The
+// demand-delta engine").
 
 // SetDemands replaces the session's demand matrices — a dense
 // demand-matrix telemetry update. Nil restores the evaluator's base
 // matrix of that class. The update is diffed against the current
 // matrices: destination columns with identical demands keep their
 // cached contributions and Λ subtotals untouched (no work at all when
-// the matrices are equal), changed columns recompute without a single
-// Dijkstra, and only an update moving most columns pays the full Init
-// rebase. Results are bit-identical to a from-scratch evaluation under
-// the new matrices either way. Any pending undo is cleared; the
+// the matrices are equal), and changed columns recompute without a
+// single Dijkstra. Results are bit-identical to a from-scratch
+// evaluation under the new matrices. Any pending undo is cleared; the
 // matrices are adopted, not copied, and must not be mutated by the
 // caller afterwards.
 func (s *Session) SetDemands(demD, demT *traffic.Matrix) Result {
@@ -112,9 +95,8 @@ func (s *Session) ApplyDemandDelta(dd, dt *traffic.Delta) Result {
 // refreshDemands is the shared evaluation tail of the demand updates:
 // the session's matrices already hold the new values, chgD/chgT list
 // the destination columns whose demands changed per class. It routes
-// small updates through recompute with every changed, alive column
-// classified DAG-only (distances untouched, contribution + Λ refresh
-// only) and large ones through the full Init rebase.
+// them through recompute with every changed, alive column classified
+// DAG-only (distances untouched, contribution + Λ refresh only).
 func (s *Session) refreshDemands(chgD, chgT []int) Result {
 	if len(chgD)+len(chgT) == 0 {
 		// Nothing observable moved; just honor the "pending undo is
@@ -123,15 +105,8 @@ func (s *Session) refreshDemands(chgD, chgT []int) Result {
 		s.canRevert = false
 		return s.res
 	}
-	n := s.e.g.NumNodes()
 	if m := met.Get(); m != nil {
 		m.demandColumns.Observe(float64(len(chgD) + len(chgT)))
-	}
-	if float64(len(chgD)+len(chgT)) > s.rebaseFrac*float64(2*n) {
-		if m := met.Get(); m != nil {
-			m.demandRebases.Inc()
-		}
-		return s.Init(s.w)
 	}
 	s.recycleUndo()
 	s.canRevert = false

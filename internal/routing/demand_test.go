@@ -61,11 +61,8 @@ func hotspotColumnDelta(cur *traffic.Matrix, dest int, factor float64) *traffic.
 // driveDemandSession interleaves sparse demand deltas, dense SetDemands
 // updates, link toggles, weight moves with Revert, and Init rebases,
 // checking the session bit-for-bit against a from-scratch evaluation of
-// mirrored reference state after every step. frac is the session's
-// demand-rebase threshold (0 = always full rebase, 1 = never), so the
-// same drive proves both demand strategies and the threshold boundary
-// equivalent.
-func driveDemandSession(t *testing.T, ev *Evaluator, skipNode int, steps int, seed int64, frac float64) {
+// mirrored reference state after every step.
+func driveDemandSession(t *testing.T, ev *Evaluator, skipNode int, steps int, seed int64) {
 	t.Helper()
 	g := ev.Graph()
 	n, m := g.NumNodes(), g.NumLinks()
@@ -79,7 +76,6 @@ func driveDemandSession(t *testing.T, ev *Evaluator, skipNode int, steps int, se
 		ref.FailNode(skipNode)
 	}
 	s := ev.NewScenarioSession(mask, skipNode, nil, nil)
-	s.SetDemandRebaseThreshold(frac)
 
 	// Reference demand state: private copies the session never sees.
 	refD := ev.DemandDelay().Clone()
@@ -121,9 +117,8 @@ func driveDemandSession(t *testing.T, ev *Evaluator, skipNode int, steps int, se
 			s.ApplyDemandDelta(dd.Inverse(), nil)
 			check("hotspot-inverse")
 		case r < 0.6:
-			// Dense update: uniform scale (touches every column — the
-			// fallback side of the threshold) or base restore or a
-			// same-values no-op.
+			// Dense update: uniform scale (touches every column) or base
+			// restore or a same-values no-op.
 			switch rng.Intn(3) {
 			case 0:
 				f := 0.5 + 1.5*rng.Float64()
@@ -170,16 +165,12 @@ func driveDemandSession(t *testing.T, ev *Evaluator, skipNode int, steps int, se
 
 func TestApplyDemandDeltaMatchesEvaluatorRand8(t *testing.T) {
 	ev := sessionTestEvaluator(t, topogen.RandKind, 8, 40, 31)
-	for _, frac := range []float64{0, 0.5, 1} {
-		driveDemandSession(t, ev, -1, 150, 32, frac)
-	}
+	driveDemandSession(t, ev, -1, 150, 32)
 }
 
 func TestApplyDemandDeltaMatchesEvaluatorISP(t *testing.T) {
 	ev := sessionTestEvaluator(t, topogen.ISPKind, 0, 0, 33)
-	for _, frac := range []float64{0, 0.5, 1} {
-		driveDemandSession(t, ev, -1, 100, 34, frac)
-	}
+	driveDemandSession(t, ev, -1, 100, 34)
 }
 
 func TestApplyDemandDeltaMatchesEvaluator100(t *testing.T) {
@@ -187,8 +178,8 @@ func TestApplyDemandDeltaMatchesEvaluator100(t *testing.T) {
 		t.Skip("100-node equivalence drive is slow")
 	}
 	ev := sessionTestEvaluator(t, topogen.RandKind, 100, 500, 35)
-	driveDemandSession(t, ev, -1, 40, 36, 0.5)
-	driveDemandSession(t, ev, -1, 25, 37, 1)
+	driveDemandSession(t, ev, -1, 40, 36)
+	driveDemandSession(t, ev, -1, 25, 37)
 }
 
 // TestApplyDemandDeltaNodeFailure drives deltas against a node-failure
@@ -196,13 +187,13 @@ func TestApplyDemandDeltaMatchesEvaluator100(t *testing.T) {
 // matrix but are unobservable, and must leave the session consistent.
 func TestApplyDemandDeltaNodeFailure(t *testing.T) {
 	ev := sessionTestEvaluator(t, topogen.RandKind, 12, 60, 38)
-	driveDemandSession(t, ev, 3, 150, 39, 0.5)
+	driveDemandSession(t, ev, 3, 150, 39)
 }
 
 // TestSetDemandsDiffIsExact pins the dense-update diffing: a no-op
-// update does no work but still clears a pending Apply undo, and the
-// delta path equals the forced-rebase path bit for bit on a sparse
-// column change.
+// update does no work but still clears a pending Apply undo, and on a
+// sparse column change the per-column refresh equals a session Init'd
+// on the new matrices and the evaluator bit for bit.
 func TestSetDemandsDiffIsExact(t *testing.T) {
 	ev := sessionTestEvaluator(t, topogen.RandKind, 10, 50, 40)
 	rng := rand.New(rand.NewSource(41))
@@ -224,18 +215,14 @@ func TestSetDemandsDiffIsExact(t *testing.T) {
 		s.Revert()
 	}()
 
-	// Sparse column change: delta path vs forced full rebase.
+	// Sparse column change: per-column refresh vs a full rebase.
 	surged := ev.DemandThroughput().Clone()
 	surged.Set(0, 5, surged.At(0, 5)*3+1)
 	surged.Set(7, 5, surged.At(7, 5)*2)
 	inc := ev.NewSession(nil, -1)
-	inc.SetDemandRebaseThreshold(1)
 	inc.Init(w)
-	full := ev.NewSession(nil, -1)
-	full.SetDemandRebaseThreshold(0)
-	full.Init(w)
-	requireSameResult(t, "delta vs rebase",
-		inc.SetDemands(nil, surged), full.SetDemands(nil, surged))
+	full := ev.NewScenarioSession(nil, -1, nil, surged)
+	requireSameResult(t, "delta vs rebase", inc.SetDemands(nil, surged), full.Init(w))
 	var want Result
 	ev.EvaluateDemands(w, nil, -1, nil, surged, &want)
 	requireSameResult(t, "delta vs evaluator", inc.Result(), want)

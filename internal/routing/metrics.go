@@ -15,7 +15,6 @@ type metrics struct {
 	destsDAGOnly  *obsv.Counter
 	destsParallel *obsv.Counter
 	destsSerial   *obsv.Counter
-	demandRebases *obsv.Counter
 	demandClones  *obsv.Counter
 	demandColumns *obsv.Histogram
 	batchLinks    *obsv.Histogram
@@ -26,7 +25,7 @@ var met = obsv.NewView(func(r *obsv.Registry) *metrics {
 	return &metrics{
 		reg: r,
 		inits: r.Counter("routing_session_inits_total",
-			"Full session rebases (Init), including demand-rebase fallbacks."),
+			"Full from-scratch session initializations (Init)."),
 		updWeight: r.Counter("routing_session_updates_total", updHelp, obsv.L("kind", "weight")),
 		updLink:   r.Counter("routing_session_updates_total", updHelp, obsv.L("kind", "link")),
 		updDemand: r.Counter("routing_session_updates_total", updHelp, obsv.L("kind", "demand")),
@@ -43,8 +42,6 @@ var met = obsv.NewView(func(r *obsv.Registry) *metrics {
 		destsSerial: r.Counter("routing_session_dest_tasks_total",
 			"Per-destination refresh tasks by execution mode of their region.",
 			obsv.L("mode", "serial")),
-		demandRebases: r.Counter("routing_session_demand_rebases_total",
-			"Demand updates that exceeded the rebase threshold and fell back to a full Init."),
 		demandClones: r.Counter("routing_session_demand_clones_total",
 			"Clone-on-write copies of a shared demand matrix on the delta path."),
 		demandColumns: r.Histogram("routing_session_demand_columns",

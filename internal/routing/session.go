@@ -38,11 +38,9 @@ import (
 // updates (SetDemands, ApplyDemandDelta; see demand.go) never touch
 // shortest-path state at all: weights are unchanged, so only the
 // destination columns whose demands moved recompute their load
-// contributions and Λ subtotals, unless the update moves more columns
-// than the rebase threshold and pays a full Init instead; demand
-// updates, like Init, clear any pending undo. Full Dijkstras remain
-// only where no pre-change snapshot exists: Init and that demand
-// rebase.
+// contributions and Λ subtotals; demand updates, like Init, clear any
+// pending undo. Full Dijkstras remain only where no pre-change snapshot
+// exists: Init.
 //
 // Every Apply/Init result is bit-identical to what the stateless
 // Evaluator.Evaluate computes for the same weights and scenario: the
@@ -66,11 +64,6 @@ type Session struct {
 	// are never mutated).
 	demD, demT         *traffic.Matrix
 	ownsDemD, ownsDemT bool
-	// rebaseFrac is the demand-update fallback threshold: when a
-	// demand update changes more than rebaseFrac of the 2n destination
-	// columns, the incremental path yields to a full Init rebase. See
-	// SetDemandRebaseThreshold.
-	rebaseFrac float64
 
 	// Per-destination caches (index = destination; dead or skipped
 	// destinations keep zero values and nil slices).
@@ -191,33 +184,32 @@ func (e *Evaluator) NewSession(mask *graph.Mask, skipNode int) *Session {
 	n, m := e.g.NumNodes(), e.g.NumLinks()
 	linkFrom, linkTo := e.g.LinkEndpoints()
 	s := &Session{
-		e:          e,
-		mask:       mask,
-		skipNode:   skipNode,
-		demD:       e.demD,
-		demT:       e.demT,
-		w:          NewWeightSetting(m),
-		dDest:      make([]delayDest, n),
-		tStates:    make([]spf.State, n),
-		linkFrom:   linkFrom,
-		linkTo:     linkTo,
-		dContrib:   make([][]float64, n),
-		tContrib:   make([][]float64, n),
-		tDropped:   make([]float64, n),
-		lambdaT:    make([]float64, n),
-		violT:      make([]int, n),
-		discT:      make([]int, n),
-		loadD:      make([]float64, m),
-		loadT:      make([]float64, m),
-		loadTot:    make([]float64, m),
-		linkDelay:  make([]float64, m),
-		linkUtil:   make([]float64, m),
-		linkMark:   make([]int32, m),
-		needDP:     make([]bool, n),
-		colMark:    make([]int32, n),
-		raisedD:    make([]int32, m),
-		raisedT:    make([]int32, m),
-		rebaseFrac: demandRebaseFracDefault,
+		e:         e,
+		mask:      mask,
+		skipNode:  skipNode,
+		demD:      e.demD,
+		demT:      e.demT,
+		w:         NewWeightSetting(m),
+		dDest:     make([]delayDest, n),
+		tStates:   make([]spf.State, n),
+		linkFrom:  linkFrom,
+		linkTo:    linkTo,
+		dContrib:  make([][]float64, n),
+		tContrib:  make([][]float64, n),
+		tDropped:  make([]float64, n),
+		lambdaT:   make([]float64, n),
+		violT:     make([]int, n),
+		discT:     make([]int, n),
+		loadD:     make([]float64, m),
+		loadT:     make([]float64, m),
+		loadTot:   make([]float64, m),
+		linkDelay: make([]float64, m),
+		linkUtil:  make([]float64, m),
+		linkMark:  make([]int32, m),
+		needDP:    make([]bool, n),
+		colMark:   make([]int32, n),
+		raisedD:   make([]int32, m),
+		raisedT:   make([]int32, m),
 	}
 	s.self = sesWorker{
 		ws:     spf.NewWorkspace(e.g),

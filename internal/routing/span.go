@@ -2,7 +2,7 @@ package routing
 
 // Session span tracing: when a caller (the selector, an optimizer
 // phase) hands the session a trace context, every update — weight move,
-// link flip, batch, demand refresh, rebase — records a root span with
+// link flip, batch, demand refresh, Init — records a root span with
 // its classification outcome and SPF-work breakdown, region child
 // spans for the three parallel recompute regions, and per-worker task
 // spans, all into the registry's span recorder. With no context set
@@ -26,11 +26,10 @@ func (s *Session) SetSpanContext(trace, parent uint64) {
 }
 
 // beginUpdateSpan opens the root span of one session update, or returns
-// nil when the session has no trace context, no registry or recorder is
-// installed, or an outer update span is already open (a nested Init
-// during a demand rebase attaches its regions to the outer root).
+// nil when the session has no trace context or no registry or recorder
+// is installed.
 func (s *Session) beginUpdateSpan(name string) *obsv.Span {
-	if s.spanTrace == 0 || s.spRoot != nil {
+	if s.spanTrace == 0 {
 		return nil
 	}
 	m := met.Get()
@@ -45,7 +44,7 @@ func (s *Session) beginUpdateSpan(name string) *obsv.Span {
 }
 
 // endUpdateSpan closes an update root span opened by beginUpdateSpan.
-// Safe to call with nil (the nested or untraced case).
+// Safe to call with nil (the untraced case).
 func (s *Session) endUpdateSpan(sp *obsv.Span) {
 	if sp == nil {
 		return

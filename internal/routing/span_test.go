@@ -151,28 +151,3 @@ func TestSessionLinkFlapSpans(t *testing.T) {
 		t.Fatal("up-flip span must carry up=1")
 	}
 }
-
-// TestSessionDemandSpanNested: a demand update that rebases via Init
-// must keep its own root and attach Init's regions to it, not start a
-// second root.
-func TestSessionDemandSpanNested(t *testing.T) {
-	reg, s := spanTestSetup(t, 1)
-	s.SetDemandRebaseThreshold(0) // force every demand update down the Init rebase
-	outer := reg.Spans().Start("test.outer")
-	s.SetSpanContext(outer.TraceID(), outer.ID())
-	demD := s.e.demD.Clone().Scale(1.5)
-	s.SetDemands(demD, nil)
-	outer.End()
-
-	idx := spanIndex(reg.Spans().TraceSpans(outer.TraceID()))
-	if n := len(idx["session.demand"]); n != 1 {
-		t.Fatalf("want 1 session.demand span, got %d", n)
-	}
-	if n := len(idx["session.init"]); n != 0 {
-		t.Fatalf("nested Init started its own root (%d session.init spans)", n)
-	}
-	// The rebase's region spans hang off the demand root.
-	if n := len(idx["session.fill"]); n != 1 {
-		t.Fatalf("want 1 session.fill region under the demand root, got %d", n)
-	}
-}

@@ -210,7 +210,9 @@ func (m *Matrix) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &jm); err != nil {
 		return fmt.Errorf("traffic: decode: %w", err)
 	}
-	if len(jm.D) != jm.N*jm.N {
+	// The division catches sizes whose square overflows int and wraps
+	// onto the entry count.
+	if jm.N < 0 || len(jm.D) != jm.N*jm.N || jm.N > 0 && len(jm.D)/jm.N != jm.N {
 		return fmt.Errorf("traffic: matrix size %d does not match %d nodes", len(jm.D), jm.N)
 	}
 	for i := 0; i < jm.N; i++ {

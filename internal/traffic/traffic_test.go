@@ -260,6 +260,15 @@ func TestJSONRejectsBadShape(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"n":2,"demands":[5,0,0,0]}`), &m); err == nil {
 		t.Error("accepted nonzero diagonal")
 	}
+	if err := json.Unmarshal([]byte(`{"n":-1,"demands":[0]}`), &m); err == nil {
+		t.Error("accepted negative size")
+	}
+	// 2^32 squared wraps to 0 in int: the empty entry list must not pass
+	// for a 2^32-node matrix (it used to, and the diagonal check then
+	// indexed past the end).
+	if err := json.Unmarshal([]byte(`{"n":4294967296,"demands":[]}`), &m); err == nil {
+		t.Error("accepted a size whose square overflows")
+	}
 }
 
 func TestQuickFluctuateMeanPreserved(t *testing.T) {

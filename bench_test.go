@@ -387,6 +387,39 @@ func BenchmarkPhase1bFull30(b *testing.B) { benchPhase1b(b, true) }
 
 func BenchmarkPhase1bIncremental30(b *testing.B) { benchPhase1b(b, false) }
 
+// BenchmarkPhase2Critical30 times the robust search, most of the
+// optimizer's time, on optimize-30's seed-1 network (rand/30/180, the
+// "std" budget). Phase 1, the Phase 1b top-up and the 15% critical-link
+// selection run once outside the timer; each op runs RunPhase2 over
+// the 27 critical links on a fresh optimizer with the same seed, so
+// every op visits the same moves. evals_per_sec counts logical
+// evaluations (a move the bound-and-prune stops early still counts
+// every scenario); pruned/op counts the scenario updates it skipped.
+func BenchmarkPhase2Critical30(b *testing.B) {
+	nw, err := NewNetwork(NetworkSpec{Topology: "rand", Nodes: 30, Links: 180, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := opt.QuickConfig()
+	cfg.Seed = 1
+	o := opt.New(nw.ev, cfg)
+	p1 := o.RunPhase1()
+	o.TopUpSamples(p1)
+	fs := opt.FailureSet{Links: o.SelectCritical(p1, 0.15)}
+	if len(fs.Links) != 27 {
+		b.Fatalf("selected %d critical links, want 27", len(fs.Links))
+	}
+	evals, pruned := 0, 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := opt.New(nw.ev, cfg).RunPhase2(p1, fs).Stats
+		evals += st.Evaluations
+		pruned += st.Pruned
+	}
+	b.ReportMetric(float64(evals)/b.Elapsed().Seconds(), "evals_per_sec")
+	b.ReportMetric(float64(pruned)/float64(b.N), "pruned/op")
+}
+
 // BenchmarkRepairVsDijkstra isolates the incremental SPF primitive: one
 // destination's SPF on the Table III 100-node RandTopo maintained
 // through link-down/link-up event pairs, by a fresh Dijkstra per event

@@ -142,6 +142,37 @@ func (k Cost) Less(other Cost) bool {
 	}
 }
 
+// sumMargin is the relative margin a partial sum must clear before it
+// proves anything about its total (see ProvesNotLess). Two summation
+// orders of the same n nonnegative terms differ by less than 2n·2⁻⁵³
+// relative, so 1e-12 covers totals of up to about 1,100 terms with room
+// to spare; longer totals use n·2⁻⁵⁰.
+const sumMargin = 1e-12
+
+// ProvesNotLess reports whether partial, the sum of some of the
+// nonnegative terms of an n-term total, already proves that the total is
+// not Less than other, whatever the remaining terms and whichever order
+// either sum adds them in. A total is not Less than other when its Λ
+// exceeds other's beyond lambdaTol, or when its Λ reaches other's minus
+// lambdaTol while its Φ reaches other's Φ. A partial sum only grows
+// toward its total, so either test passed by partial, with the relative
+// rounding margin to spare, holds for the total too. A NaN anywhere
+// proves nothing. The caller guarantees the premise: no term is
+// negative.
+func (partial Cost) ProvesNotLess(other Cost, n int) bool {
+	keep := 1 - max(sumMargin, float64(n)*0x1p-50)
+	lambda, phi := partial.Lambda*keep, partial.Phi*keep
+	return lambda > other.Lambda+lambdaTol ||
+		lambda >= other.Lambda-lambdaTol && phi >= other.Phi
+}
+
+// NonnegativePenalties reports whether every penalty constant of the
+// SLA cost (B1, B2, DropExcessMs) is a nonnegative number, so that no
+// pair's Λ term can be negative.
+func (p Params) NonnegativePenalties() bool {
+	return p.B1 >= 0 && p.B2 >= 0 && p.DropExcessMs >= 0
+}
+
 // Compare returns -1, 0 or +1 as k is better than, equivalent to, or
 // worse than other.
 func (k Cost) Compare(other Cost) int {

@@ -213,3 +213,89 @@ func TestSameLambdaTolerance(t *testing.T) {
 		t.Error("distinct Λ must not be equal")
 	}
 }
+
+// TestProvesNotLessBranches pins each way a partial sum can and cannot
+// prove a total not Less than a bound.
+func TestProvesNotLessBranches(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name           string
+		partial, other Cost
+		want           bool
+	}{
+		{"lambda above bound", Cost{10, 0}, Cost{5, 100}, true},
+		{"lambda within tolerance, phi at bound", Cost{5, 100}, Cost{5 + 5e-10, 50}, true},
+		{"lambda within tolerance, phi below", Cost{5, 40}, Cost{5, 50}, false},
+		{"phi above but lambda below", Cost{4, 1000}, Cost{5, 50}, false},
+		{"lambda just below tolerance, phi above", Cost{5 - 2e-9, 1000}, Cost{5, 50}, false},
+		{"lambda above bound by less than the margin", Cost{1e6 + 2e-9, 0}, Cost{1e6, 0}, false},
+		{"phi equal to bound needs the margin", Cost{5, 50}, Cost{5, 50}, false},
+		{"zero against zero", Cost{}, Cost{}, true},
+		{"NaN partial", Cost{nan, nan}, Cost{5, 50}, false},
+		{"NaN bound", Cost{10, 100}, Cost{nan, nan}, false},
+	}
+	for _, tc := range cases {
+		if got := tc.partial.ProvesNotLess(tc.other, 27); got != tc.want {
+			t.Errorf("%s: %+v.ProvesNotLess(%+v) = %v, want %v", tc.name, tc.partial, tc.other, got, tc.want)
+		}
+	}
+}
+
+// TestQuickProvesNotLessSound: for random nonnegative terms, any partial
+// sum in any order that proves the total not Less than a bound is right
+// about the index-order total, including bounds placed within rounding
+// distance of that total.
+func TestQuickProvesNotLessSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	proofs := 0
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + rng.Intn(40)
+		terms := make([]Cost, n)
+		var total Cost
+		for i := range terms {
+			if rng.Intn(3) > 0 {
+				terms[i] = Cost{Lambda: float64(rng.Intn(3)) * 100 * rng.Float64(), Phi: rng.ExpFloat64() * 1e3}
+			}
+			total = total.Add(terms[i])
+		}
+		// Bounds at, just above and just below the total, componentwise.
+		jitter := func(v float64) float64 {
+			return v * (1 + float64(rng.Intn(5)-2)*1e-15)
+		}
+		other := Cost{Lambda: jitter(total.Lambda), Phi: jitter(total.Phi)}
+		if rng.Intn(2) == 0 {
+			other.Lambda += float64(rng.Intn(3)-1) * lambdaTol
+		}
+		var partial Cost
+		for _, i := range rng.Perm(n)[:1+rng.Intn(n)] {
+			partial = partial.Add(terms[i])
+		}
+		if partial.ProvesNotLess(other, n) {
+			proofs++
+			if total.Less(other) {
+				t.Fatalf("partial %+v proved %+v not Less than %+v, but it is", partial, total, other)
+			}
+		}
+	}
+	if proofs == 0 {
+		t.Fatal("no trial produced a proof")
+	}
+}
+
+func TestNonnegativePenalties(t *testing.T) {
+	if !DefaultParams().NonnegativePenalties() {
+		t.Error("paper constants reported negative")
+	}
+	for _, set := range []func(*Params){
+		func(p *Params) { p.B1 = -100 },
+		func(p *Params) { p.B2 = -1 },
+		func(p *Params) { p.DropExcessMs = -25 },
+		func(p *Params) { p.B2 = math.NaN() },
+	} {
+		p := DefaultParams()
+		set(&p)
+		if p.NonnegativePenalties() {
+			t.Errorf("%+v reported nonnegative", p)
+		}
+	}
+}

@@ -236,6 +236,41 @@ func TestSelectorObserveErrors(t *testing.T) {
 	}
 }
 
+// TestSelectorRejectsNegativeDemands: a dense demand event or a
+// checkpoint holding a negative demand is refused before any state
+// changes, so the selector still accepts a valid checkpoint afterwards.
+func TestSelectorRejectsNegativeDemands(t *testing.T) {
+	ev := ctrlTestEvaluator(t, 8, 40, 4)
+	lib, err := FromWeightSettings(ev, nil, []*routing.WeightSetting{routing.NewWeightSetting(ev.Graph().NumLinks())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := NewSelector(ev, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	negative := ev.DemandThroughput().Clone()
+	negative.Set(1, 6, -1000)
+	if err := sel.Validate(scenario.Event{Kind: scenario.EventDemand, DemT: negative}); err == nil {
+		t.Error("Validate accepted a dense matrix with a negative demand")
+	}
+	if err := observe1(sel, scenario.Event{Kind: scenario.EventDemand, DemT: negative}); err == nil {
+		t.Error("negative dense demand observed")
+	}
+	c := sel.Checkpoint()
+	c.DemD = negative
+	if err := sel.Restore(c); err == nil {
+		t.Error("Restore accepted a checkpoint with a negative demand")
+	}
+	if st := sel.State(); st.Events != 0 {
+		t.Fatalf("refused input changed the selector: %d events", st.Events)
+	}
+	c.DemD = ev.DemandDelay().Clone()
+	if err := sel.Restore(c); err != nil {
+		t.Fatalf("valid checkpoint refused after the rejected one: %v", err)
+	}
+}
+
 // TestSelectorDemandDedup pins the no-op demand handling: demand
 // events whose matrices (or delta entries) equal the state in effect
 // must not fan out to the candidate sessions — mirroring the existing

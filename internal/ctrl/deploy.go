@@ -219,8 +219,14 @@ func (s *Selector) Restore(c Checkpoint) error {
 	}
 	n := s.ev.Graph().NumNodes()
 	for _, dem := range []*traffic.Matrix{c.DemD, c.DemT} {
-		if dem != nil && dem.Size() != n {
+		if dem == nil {
+			continue
+		}
+		if dem.Size() != n {
 			return fmt.Errorf("ctrl: checkpoint demand matrix size %d does not match %d nodes", dem.Size(), n)
+		}
+		if err := dem.Validate(); err != nil {
+			return fmt.Errorf("ctrl: checkpoint %w", err)
 		}
 	}
 	changes := make([]routing.LinkStateChange, 0, len(c.Down))

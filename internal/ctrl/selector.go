@@ -123,10 +123,10 @@ func (s *Selector) mask() *graph.Mask {
 }
 
 // Validate checks an event's shape against the network — link index in
-// range, demand matrices sized to the node count, delta entries valid —
-// without touching any state or taking the lock. ObserveBatch validates
-// a whole batch upfront so a malformed event aborts before any
-// mutation.
+// range, demand matrices sized to the node count with no negative
+// demand, delta entries valid — without touching any state or taking
+// the lock. ObserveBatch validates a whole batch upfront so a malformed
+// event aborts before any mutation.
 func (s *Selector) Validate(e scenario.Event) error {
 	n := s.ev.Graph().NumNodes()
 	switch e.Kind {
@@ -135,11 +135,16 @@ func (s *Selector) Validate(e scenario.Event) error {
 			return fmt.Errorf("ctrl: link %d out of range [0,%d)", e.Link, len(s.down))
 		}
 	case scenario.EventDemand:
-		if e.DemD != nil && e.DemD.Size() != n {
-			return fmt.Errorf("ctrl: demand matrix size %d does not match %d nodes", e.DemD.Size(), n)
-		}
-		if e.DemT != nil && e.DemT.Size() != n {
-			return fmt.Errorf("ctrl: demand matrix size %d does not match %d nodes", e.DemT.Size(), n)
+		for _, dem := range []*traffic.Matrix{e.DemD, e.DemT} {
+			if dem == nil {
+				continue
+			}
+			if dem.Size() != n {
+				return fmt.Errorf("ctrl: demand matrix size %d does not match %d nodes", dem.Size(), n)
+			}
+			if err := dem.Validate(); err != nil {
+				return fmt.Errorf("ctrl: %w", err)
+			}
 		}
 	case scenario.EventDemandDelta:
 		if err := e.DeltaD.Validate(n); err != nil {

@@ -23,7 +23,8 @@ const SnapshotVersion = 1
 
 // ErrCorrupt marks an unusable checkpoint: a truncated or unparseable
 // snapshot, a torn or garbled event-log tail, a sequence gap between
-// snapshot and log, or a format-version mismatch. Recovery code treats
+// snapshot and log, a format-version mismatch, or a snapshot another
+// network's shard wrote. Recovery code treats
 // every ErrCorrupt identically — discard the checkpoint and cold-start —
 // so a damaged file can never half-restore a shard.
 var ErrCorrupt = errors.New("fleet: corrupt checkpoint")

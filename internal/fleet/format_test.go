@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ctrl"
@@ -145,6 +146,76 @@ func TestPinnedCheckpointRestores(t *testing.T) {
 	if wa, ga := twin.Advise(), got.Advise(); !reflect.DeepEqual(wa, ga) {
 		t.Fatalf("advice diverged:\nwant %+v\ngot  %+v", wa, ga)
 	}
+}
+
+// pinnedShard opens a shard named network on a directory holding
+// testdata/v1's event log and the given snapshot bytes.
+func pinnedShard(t *testing.T, network string, snap []byte) *Shard {
+	t.Helper()
+	ev := testEvaluator(t, 8, 40, 21)
+	lib := testLibrary(t, ev, 3, 22)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, eventLogFile), readTestdata(t, eventLogFile), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sh, err := NewShard(ShardConfig{
+		Network: network,
+		Factory: func() (*ctrl.Selector, error) { return ctrl.NewSelector(ev, lib) },
+		Dir:     dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sh.Close(context.Background()) })
+	return sh
+}
+
+// requireColdStart asserts that a shard refused its checkpoint and
+// started from zero, with every want fragment in the recorded cause.
+func requireColdStart(t *testing.T, sh *Shard, want ...string) {
+	t.Helper()
+	st := sh.Status()
+	if !st.ColdStart || st.Seq != 0 || st.Replayed != 0 {
+		t.Fatalf("shard restored instead of cold-starting: %+v", st)
+	}
+	for _, w := range append(want, ErrCorrupt.Error()) {
+		if !strings.Contains(st.RestoreError, w) {
+			t.Errorf("RestoreError %q does not mention %q", st.RestoreError, w)
+		}
+	}
+}
+
+// TestPinnedCheckpointOtherNetwork: testdata/v1 was written by the
+// shard of net0. The same files under a shard named other must not
+// restore net0's state there; recovery cold-starts with an ErrCorrupt
+// that names both networks.
+func TestPinnedCheckpointOtherNetwork(t *testing.T) {
+	sh := pinnedShard(t, "other", readTestdata(t, snapshotFile))
+	requireColdStart(t, sh, `"net0"`, `"other"`)
+}
+
+// negativeDemandSnapshot is testdata/v1's snapshot with its first
+// delay-class demand set to -1000 (FuzzCheckpointLoad's
+// negative-demand-snapshot corpus entry holds the same bytes).
+func negativeDemandSnapshot(t *testing.T) []byte {
+	t.Helper()
+	const pair = `"demands":[0,38.94065645408085,`
+	snap := readTestdata(t, snapshotFile)
+	if !bytes.Contains(snap, []byte(pair)) {
+		t.Fatalf("testdata/v1 snapshot no longer holds %s", pair)
+	}
+	return bytes.Replace(snap, []byte(pair), []byte(`"demands":[0,-1000,`), 1)
+}
+
+// TestNegativeDemandSnapshotColdStarts: a snapshot whose demand
+// override holds a negative demand fails to decode, so the shard
+// cold-starts with ErrCorrupt instead of restoring it.
+func TestNegativeDemandSnapshotColdStarts(t *testing.T) {
+	sh := pinnedShard(t, "net0", negativeDemandSnapshot(t))
+	requireColdStart(t, sh, "negative")
 }
 
 func readFile(t testing.TB, path string) []byte {

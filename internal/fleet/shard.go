@@ -187,6 +187,9 @@ func (s *Shard) recover() (*ctrl.Selector, error) {
 		return nil, err
 	}
 	if snap != nil {
+		if snap.Network != s.cfg.Network {
+			return s.recoverCold(fmt.Errorf("%w: snapshot belongs to network %q, not %q", ErrCorrupt, snap.Network, s.cfg.Network))
+		}
 		if err := sel.Restore(snap.checkpoint()); err != nil {
 			return s.recoverCold(fmt.Errorf("%w: %v", ErrCorrupt, err))
 		}

@@ -140,9 +140,15 @@ func QuickConfig() Config {
 
 // Stats reports the work a phase performed.
 type Stats struct {
-	Iterations  int           // full passes over all links
-	Evaluations int           // single-scenario network evaluations
-	Duration    time.Duration // wall time
+	Iterations int // full passes over all links
+	// Evaluations counts single-scenario network evaluations logically:
+	// a Phase 2 move that a partial sum proves lost still counts every
+	// scenario as evaluated, so the count does not depend on the prune.
+	Evaluations int
+	// Pruned counts the scenario updates Phase 2 skipped on such moves
+	// (always 0 in Phase 1 and under FullEval).
+	Pruned   int
+	Duration time.Duration // wall time
 }
 
 // EvalsPerSec returns the evaluation throughput, the headline number the

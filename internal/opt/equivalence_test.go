@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -382,4 +383,226 @@ func TestIncrementalMatchesFullEvalNodeObjective(t *testing.T) {
 	if p2Full.FailCost != p2Inc.FailCost {
 		t.Errorf("node-objective fail cost %+v != %+v", p2Full.FailCost, p2Inc.FailCost)
 	}
+}
+
+// phase2Case is one robust search the pruned scenario sweep must run
+// exactly like the from-scratch oracle.
+type phase2Case struct {
+	name string
+	ev   *routing.Evaluator
+	cfg  Config
+	// scenarios renders the searched set (and its weights) from the
+	// Phase 1 result.
+	scenarios func(o *Optimizer, p1 *Phase1Result) (scenario.Set, []float64)
+	// prunes is whether the serial session run must skip scenario
+	// updates: false for the cases whose premises fail, which must never
+	// stop a sweep early.
+	prunes bool
+}
+
+// failureSet adapts a fixed FailureSet to phase2Case.scenarios.
+func failureSet(fs FailureSet) func(*Optimizer, *Phase1Result) (scenario.Set, []float64) {
+	return func(*Optimizer, *Phase1Result) (scenario.Set, []float64) { return fs.scenarios() }
+}
+
+// runPhase2Case runs Phase 1 once, then Phase 2 over the case's set on
+// fresh optimizers with the same seed: from scratch, and on sessions at
+// GOMAXPROCS 1 and 3. The session runs must reproduce the oracle's
+// weights, failure cost and normal-conditions result bit for bit, and
+// agree with each other on the logical evaluation count; which updates
+// they skip may differ, but the serial run's skips are deterministic,
+// so the case's pruning expectation is checked there. It returns the
+// serial run.
+func runPhase2Case(t *testing.T, tc phase2Case) (serial *Phase2Result) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	o := New(tc.ev, tc.cfg)
+	p1 := o.RunPhase1()
+	set, probs := tc.scenarios(o, p1)
+	run := func(full bool) *Phase2Result {
+		c := tc.cfg
+		c.FullEval = full
+		return New(tc.ev, c).RunPhase2Set(p1, set, probs)
+	}
+	full := run(true)
+	if full.Stats.Pruned != 0 {
+		t.Errorf("FullEval skipped %d scenario updates", full.Stats.Pruned)
+	}
+	var evals int
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		inc := run(false)
+		if !full.BestW.Equal(inc.BestW) {
+			t.Errorf("procs=%d: phase 2 best weights differ", procs)
+		}
+		if math.Float64bits(full.FailCost.Lambda) != math.Float64bits(inc.FailCost.Lambda) ||
+			math.Float64bits(full.FailCost.Phi) != math.Float64bits(inc.FailCost.Phi) {
+			t.Errorf("procs=%d: phase 2 fail cost %+v != %+v", procs, inc.FailCost, full.FailCost)
+		}
+		if !reflect.DeepEqual(full.Normal, inc.Normal) {
+			t.Errorf("procs=%d: phase 2 normal result %+v != %+v", procs, inc.Normal, full.Normal)
+		}
+		if procs == 1 {
+			serial, evals = inc, inc.Stats.Evaluations
+			if got := inc.Stats.Pruned > 0; got != tc.prunes {
+				t.Errorf("skipped %d of %d scenario updates; want pruning %v", inc.Stats.Pruned, evals, tc.prunes)
+			}
+		} else if inc.Stats.Evaluations != evals {
+			t.Errorf("procs=%d: %d evaluations, serial run %d", procs, inc.Stats.Evaluations, evals)
+		}
+		t.Logf("procs=%d: %d of %d phase 2 evaluations pruned", procs, inc.Stats.Pruned, inc.Stats.Evaluations)
+	}
+	return serial
+}
+
+// TestPrunedPhase2MatchesFullEval covers the pruned scenario sweep
+// beyond the pipeline cases above: a weighted set with non-uniform and
+// zero weights, the 100-node RandTopo, failure scenarios that carry SLA
+// penalties (Λ > 0, so the Λ test decides; see also
+// TestScenarioSweepProvesLambdaLoss), and the shape of the optimize-30
+// benchmark (its 30-node RandTopo and 27 critical links). The premise
+// cases — a negative weight, a negative demand override and a negative
+// SLA penalty — must match the oracle without ever stopping early.
+func TestPrunedPhase2MatchesFullEval(t *testing.T) {
+	cfg := testConfig()
+	cfg.Seed = 7
+	rand8 := equivalenceEvaluator(t, topogen.RandKind, 8, 40, 21)
+	links := []int{0, 3, 7, 11, 19, 23, 29, 33}
+	weighted := FailureSet{
+		Links:     links,
+		LinkProbs: []float64{0.5, 0, 2, 0.01, 1, 0, 3, 0.2},
+		Nodes:     []int{2, 5},
+		NodeProbs: []float64{0, 1.5},
+	}
+	negative := weighted
+	negative.LinkProbs = slices.Clone(weighted.LinkProbs)
+	negative.LinkProbs[4] = -1
+
+	negDem := rand8.DemandThroughput().Clone()
+	negDem.Set(1, 4, -50)
+	linkSet, _ := FailureSet{Links: links}.scenarios()
+
+	negPenalty := cost.DefaultParams()
+	negPenalty.B1 = -100
+	tightSLA := cost.DefaultParams()
+	tightSLA.ThetaMs = 20
+
+	// The optimize-30 network at a budget the oracle runs in a second:
+	// four Phase 1 passes and one Phase 2 pass.
+	opt30 := QuickConfig()
+	opt30.Seed = 1
+	opt30.MaxIter1, opt30.MaxIter2 = 4, 1
+	net30 := optimize30Evaluator(t)
+	critical := func(frac float64, want int) func(*Optimizer, *Phase1Result) (scenario.Set, []float64) {
+		return func(o *Optimizer, p1 *Phase1Result) (scenario.Set, []float64) {
+			o.TopUpSamples(p1)
+			links := o.SelectCritical(p1, frac)
+			if len(links) != want {
+				t.Fatalf("selected %d critical links, want %d", len(links), want)
+			}
+			return FailureSet{Links: links}.scenarios()
+		}
+	}
+	// One Phase 2 pass over the 100-node RandTopo's 500 links.
+	small := cfg
+	small.MaxIter1, small.Div1Interval = 1, 1
+	small.MaxIter2, small.Div2Interval = 1, 1
+
+	for _, tc := range []phase2Case{
+		{"weighted-zero-probs", rand8, cfg, failureSet(weighted), true},
+		{"negative-prob", rand8, cfg, failureSet(negative), false},
+		{"negative-demand", rand8, cfg, func(*Optimizer, *Phase1Result) (scenario.Set, []float64) {
+			return scenario.WithTraffic(linkSet, nil, negDem, "+negative"), nil
+		}, false},
+		{"negative-penalty", withParams(rand8, negPenalty), cfg, failureSet(FailureSet{Links: links}), false},
+		{"rand100", equivalenceEvaluator(t, topogen.RandKind, 100, 300, 23), small,
+			failureSet(FailureSet{Links: []int{40, 150, 233}}), true},
+		{"sla-lambda", withParams(net30, tightSLA), opt30, critical(0.05, 9), true},
+		{"optimize30", net30, opt30, critical(0.15, 27), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := runPhase2Case(t, tc)
+			if tc.name == "sla-lambda" && !(res.FailCost.Lambda > 0) {
+				t.Errorf("failure scenarios carry no SLA penalty: %+v", res.FailCost)
+			}
+		})
+	}
+}
+
+// withParams is ev's network and traffic under other cost-model
+// constants.
+func withParams(ev *routing.Evaluator, p cost.Params) *routing.Evaluator {
+	return routing.NewEvaluator(ev.Graph(), ev.DemandDelay(), ev.DemandThroughput(), p, routing.WorstPath)
+}
+
+// optimize30Evaluator builds the optimize-30 benchmark's seed-1 network
+// the way repro.NewNetwork builds rand/30/180: three edges per node, a
+// 20 ms propagation diameter, 43% average utilization.
+func optimize30Evaluator(t testing.TB) *routing.Evaluator {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	g, err := topogen.Generate(topogen.Spec{Kind: topogen.RandKind, Nodes: 30, DirectedLinks: 180, EdgesPerNode: 3, DiameterMs: 20}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	demD, demT := traffic.Gravity(g.NumNodes(), 1, 0.3, rng)
+	if _, err := routing.ScaleToAvgUtil(g, demD, demT, 0.43); err != nil {
+		t.Fatal(err)
+	}
+	return routing.NewEvaluator(g, demD, demT, cost.DefaultParams(), routing.WorstPath)
+}
+
+// TestScenarioSweepProvesLambdaLoss drives the pruned sweep directly,
+// serially, on the optimize-30 network under a tight SLA bound, where
+// failure scenarios carry SLA penalties. From one weight setting it
+// tries every link at both extreme weights against the setting's own
+// cost, then rejects the move. It requires that some sweep stops early
+// while its partial Φ is still below the current Φ, which only the Λ
+// test can prove, and that after every rejection each session's result
+// equals the from-scratch evaluation at the
+// unchanged setting: reverting only the sessions that applied restores
+// the accepted state, including for the sessions a stop skipped.
+func TestScenarioSweepProvesLambdaLoss(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tightSLA := cost.DefaultParams()
+	tightSLA.ThetaMs = 20
+	ev := withParams(optimize30Evaluator(t), tightSLA)
+	g := ev.Graph()
+	set, probs := FailureSet{Links: []int{3, 17, 42, 64, 99, 131, 160}}.scenarios()
+	scens := renderScenarios(g, set)
+	if !prunable(ev, scens, probs) {
+		t.Fatal("premises fail on a nonnegative network")
+	}
+	fses := make([]*routing.Session, len(scens))
+	want := make([]routing.Result, len(scens))
+	w := routing.RandomWeightSetting(g.NumLinks(), 20, rand.New(rand.NewSource(5)))
+	for i, sc := range scens {
+		fses[i] = ev.NewScenarioSession(sc.mask, sc.skip, sc.demD, sc.demT)
+		ev.EvaluateDemands(w, sc.mask, sc.skip, sc.demD, sc.demT, &want[i])
+	}
+	results := make([]routing.Result, len(scens))
+	sweep := newScenarioSweep(fses, probs, results, true)
+	sweep.rebase(w)
+	cur := weightedCost(probs, results)
+	if !(cur.Lambda > 0) {
+		t.Fatalf("failure scenarios carry no SLA penalty: %+v", cur)
+	}
+	lambdaProofs := 0
+	for l := 0; l < g.NumLinks(); l++ {
+		for _, wl := range []int32{1, 20} {
+			if sweep.apply(l, wl, wl, cur) > 0 && sweep.partial.Phi < cur.Phi {
+				lambdaProofs++
+			}
+			sweep.revert()
+			for i := range results {
+				if !reflect.DeepEqual(results[i], want[i]) {
+					t.Fatalf("link %d weight %d: scenario %d result %+v after revert, want %+v", l, wl, i, results[i], want[i])
+				}
+			}
+		}
+	}
+	if lambdaProofs == 0 {
+		t.Fatal("no sweep stopped on the Λ test alone")
+	}
+	t.Logf("%d of %d moves proved lost by Λ alone", lambdaProofs, 2*g.NumLinks())
 }

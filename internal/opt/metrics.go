@@ -16,6 +16,7 @@ type metrics struct {
 	p2Iterations  *obsv.Gauge
 	p2EvalsPerSec *obsv.Gauge
 	p2Evals       *obsv.Counter
+	p2Pruned      *obsv.Counter
 }
 
 var met = obsv.NewView(func(r *obsv.Registry) *metrics {
@@ -30,20 +31,23 @@ var met = obsv.NewView(func(r *obsv.Registry) *metrics {
 		p2Iterations:  r.Gauge("opt_phase_iterations", iterHelp, obsv.L("phase", "2")),
 		p2EvalsPerSec: r.Gauge("opt_phase_evals_per_sec", rateHelp, obsv.L("phase", "2")),
 		p2Evals:       r.Counter("opt_phase_evaluations_total", evalHelp, obsv.L("phase", "2")),
+		p2Pruned: r.Counter("opt_phase2_pruned_total",
+			"Scenario updates the robust search skipped because a partial sum proved the move lost."),
 	}
 })
 
 // phaseProgress publishes a phase's live progress once per outer
-// iteration: current iteration, evaluation counter delta since the last
-// publish, and the running evals/sec. Zero-cost (one atomic load) while
-// telemetry is off.
+// iteration: current iteration, the evaluation (and, in Phase 2, pruned
+// scenario update) counter deltas since the last publish, and the
+// running evals/sec. Zero-cost (one atomic load) while telemetry is off.
 type phaseProgress struct {
-	phase    int
-	start    time.Time
-	reported int
+	phase          int
+	start          time.Time
+	reported       int
+	prunedReported int
 }
 
-func (p *phaseProgress) publish(iter, evals int) {
+func (p *phaseProgress) publish(iter, evals, pruned int) {
 	m := met.Get()
 	if m == nil {
 		return
@@ -51,6 +55,8 @@ func (p *phaseProgress) publish(iter, evals int) {
 	it, rate, ev := m.p1Iterations, m.p1EvalsPerSec, m.p1Evals
 	if p.phase == 2 {
 		it, rate, ev = m.p2Iterations, m.p2EvalsPerSec, m.p2Evals
+		m.p2Pruned.Add(int64(pruned - p.prunedReported))
+		p.prunedReported = pruned
 	}
 	it.Set(float64(iter))
 	ev.Add(int64(evals - p.reported))

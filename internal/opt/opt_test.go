@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -171,6 +172,69 @@ func TestPhase2RespectsConstraints(t *testing.T) {
 	// Eq. (6): bounded throughput degradation.
 	if p2.Normal.Cost.Phi > (1+o.cfg.Chi)*p1.Best.Cost.Phi+1e-9 {
 		t.Errorf("phase 2 phi %g exceeds (1+chi) bound", p2.Normal.Cost.Phi)
+	}
+}
+
+// TestQuickPhase2SearchContract checks the robust search's contract as
+// a seeded property over small random topologies, loads and failure
+// sets (weighted with zeros on even seeds), in both evaluation modes:
+// the result keeps Λ_normal ≤ Λ* + 1e-9 (Eq. 5) and
+// Φ_normal ≤ (1+χ)Φ* (Eq. 6), and its failure cost is no worse than the
+// best start-pool entry's. P2 ≥ PoolCap makes every pool entry start a
+// round, so the search has seen each of them.
+func TestQuickPhase2SearchContract(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nodes := 6 + rng.Intn(5)
+		g, err := topogen.Generate(topogen.Spec{Kind: topogen.RandKind, Nodes: nodes, DirectedLinks: 4 * nodes}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		demD, demT := traffic.Gravity(nodes, 1, 0.3, rng)
+		if _, err := routing.ScaleToAvgUtil(g, demD, demT, 0.3+0.3*rng.Float64()); err != nil {
+			t.Fatal(err)
+		}
+		ev := routing.NewEvaluator(g, demD, demT, cost.DefaultParams(), routing.WorstPath)
+		fs := FailureSet{Links: rng.Perm(g.NumLinks())[:3+rng.Intn(4)]}
+		if seed%2 == 0 {
+			fs.LinkProbs = make([]float64, len(fs.Links))
+			for i := range fs.LinkProbs {
+				fs.LinkProbs[i] = 0.5 * float64(rng.Intn(4))
+			}
+		}
+		cfg := testConfig()
+		cfg.Seed = seed
+		cfg.PoolCap, cfg.P2 = 3, 3
+		cfg.MaxIter2, cfg.Div2Interval = 0, 1
+		p1 := New(ev, cfg).RunPhase1()
+
+		set, probs := fs.scenarios()
+		scens := renderScenarios(g, set)
+		poolBest := cost.Cost{Lambda: math.Inf(1), Phi: math.Inf(1)}
+		results := make([]routing.Result, len(scens))
+		for _, e := range p1.Pool {
+			for i, sc := range scens {
+				ev.EvaluateDemands(e.W, sc.mask, sc.skip, sc.demD, sc.demT, &results[i])
+			}
+			if c := weightedCost(probs, results); c.Less(poolBest) {
+				poolBest = c
+			}
+		}
+		for _, full := range []bool{true, false} {
+			c := cfg
+			c.FullEval = full
+			p2 := New(ev, c).RunPhase2(p1, fs)
+			label := fmt.Sprintf("seed %d (%d nodes, %d scenarios) FullEval=%v", seed, nodes, fs.Size(), full)
+			if p2.Normal.Cost.Lambda > p1.Best.Cost.Lambda+1e-9 {
+				t.Errorf("%s: Λ_normal %g exceeds Λ* %g", label, p2.Normal.Cost.Lambda, p1.Best.Cost.Lambda)
+			}
+			if p2.Normal.Cost.Phi > (1+c.Chi)*p1.Best.Cost.Phi+1e-12 {
+				t.Errorf("%s: Φ_normal %g exceeds (1+χ)Φ* = %g", label, p2.Normal.Cost.Phi, (1+c.Chi)*p1.Best.Cost.Phi)
+			}
+			if poolBest.Less(p2.FailCost) {
+				t.Errorf("%s: fail cost %+v worse than the best start-pool entry's %+v", label, p2.FailCost, poolBest)
+			}
+		}
 	}
 }
 

@@ -234,9 +234,9 @@ func (o *Optimizer) RunPhase1() *Phase1Result {
 			evals++
 			sinceImprove = 0
 		}
-		progress.publish(iter, evals)
+		progress.publish(iter, evals, 0)
 	}
-	progress.publish(iter, evals)
+	progress.publish(iter, evals, 0)
 	root.SetAttr("iterations", int64(iter))
 	root.SetAttr("evals", int64(evals))
 	root.End()

@@ -1,9 +1,12 @@
 package opt
 
 import (
+	"cmp"
 	"math"
 	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cost"
@@ -139,10 +142,18 @@ type phase2Scenario struct {
 //
 // By default the search is incremental: one Session per failure scenario
 // (plus one for normal conditions) caches that scenario's routing state,
-// so a move — and especially a rejected move — never re-evaluates
-// destinations or scenarios it cannot affect. Config.FullEval restores
-// the from-scratch sweeps; both modes visit the same moves on the same
-// RNG stream and return bit-identical results.
+// so a move never re-evaluates destinations it cannot affect. A move
+// that passes the normal-conditions constraints reaches the scenario
+// sessions in descending order of their contribution to the current
+// compounded cost, and the sweep stops as soon as a partial sum proves
+// the move cannot beat that cost (cost.Cost.ProvesNotLess; sound
+// because every weighted term is nonnegative, which is checked: weights,
+// demands and penalty constants must be nonnegative, or no sweep stops
+// early). Only the sessions it reached are reverted. Stats.Evaluations
+// still counts every scenario of such a move; Stats.Pruned counts the
+// skipped updates. Config.FullEval restores the from-scratch, unpruned
+// sweeps; both modes visit the same moves on the same RNG stream and
+// return bit-identical results.
 func (o *Optimizer) RunPhase2(p1 *Phase1Result, fs FailureSet) *Phase2Result {
 	fs.validate()
 	set, probs := fs.scenarios()
@@ -160,14 +171,26 @@ func (o *Optimizer) RunPhase2Set(p1 *Phase1Result, set scenario.Set, probs []flo
 	if probs != nil && len(probs) != set.Size() {
 		panic("opt: probs length does not match scenario set")
 	}
-	g := o.ev.Graph()
+	return o.runPhase2(p1, renderScenarios(o.ev.Graph(), set), probs)
+}
+
+// renderScenarios applies each scenario of set to a fresh mask of g.
+func renderScenarios(g *graph.Graph, set scenario.Set) []phase2Scenario {
 	scens := make([]phase2Scenario, set.Size())
 	for i, sc := range set.Scenarios {
 		mask := graph.NewMask(g)
 		skip, demD, demT := sc.Apply(mask)
 		scens[i] = phase2Scenario{mask: mask, skip: skip, demD: demD, demT: demT}
 	}
-	return o.runPhase2(p1, scens, probs)
+	return scens
+}
+
+// scenarioWeight is scenario i's weight under probs (nil = uniform).
+func scenarioWeight(probs []float64, i int) float64 {
+	if probs == nil {
+		return 1
+	}
+	return probs[i]
 }
 
 // weightedCost compounds per-scenario costs under per-scenario weights
@@ -176,14 +199,151 @@ func (o *Optimizer) RunPhase2Set(p1 *Phase1Result, set scenario.Set, probs []flo
 func weightedCost(probs []float64, results []routing.Result) cost.Cost {
 	var total cost.Cost
 	for i := range results {
-		p := 1.0
-		if probs != nil {
-			p = probs[i]
-		}
+		p := scenarioWeight(probs, i)
 		total.Lambda += p * results[i].Cost.Lambda
 		total.Phi += p * results[i].Cost.Phi
 	}
 	return total
+}
+
+// prunable reports whether the premises of the robust search's prune
+// hold: every scenario weight is a nonnegative number, no demand matrix
+// a scenario evaluates (the evaluator's base matrices and every
+// override) has a negative entry, and the SLA penalty constants are
+// nonnegative. Every weighted per-scenario Λ and Φ term is then
+// nonnegative — the Fortz–Thorup Φ of a nonnegative load is — which is
+// what cost.Cost.ProvesNotLess needs to reason from a partial sum.
+func prunable(ev *routing.Evaluator, scens []phase2Scenario, probs []float64) bool {
+	for _, p := range probs {
+		if !(p >= 0) {
+			return false
+		}
+	}
+	if !ev.Params().NonnegativePenalties() {
+		return false
+	}
+	mats := []*traffic.Matrix{ev.DemandDelay(), ev.DemandThroughput()}
+	for _, sc := range scens {
+		mats = append(mats, sc.demD, sc.demT)
+	}
+	for _, dem := range mats {
+		if dem != nil && dem.Validate() != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// scenarioSweep moves the robust search's per-scenario sessions through
+// one candidate move at a time, stopping early once the move provably
+// loses. Sessions are visited in descending order of their accepted
+// weighted contribution ⟨p·Λ, p·Φ⟩, Λ first, so the scenarios most
+// likely to prove a rejection go first; each applied session adds its
+// weighted terms to a shared partial sum, and the first worker whose
+// addition proves the move is not Less than the current cost raises the
+// stop flag. Workers then skip every session they have not started, so
+// which sessions ran depends on scheduling, but the decision does not:
+// a move that reaches every session is summed in index order by
+// weightedCost, exactly as without the prune. Without the premises
+// (prune false) the same loop never stops early.
+type scenarioSweep struct {
+	fses    []*routing.Session
+	probs   []float64
+	results []routing.Result // the accepted state, except mid-move
+	order   []int            // visiting order (scenario indices)
+	prune   bool
+	fan     par.Pool
+	procs   int
+
+	// The move in flight and the cost it must beat.
+	link   int
+	wd, wt int32
+	cur    cost.Cost
+
+	mu      sync.Mutex
+	partial cost.Cost // weighted sum over ran
+	ran     []int     // sessions the move has been applied to
+	stop    atomic.Bool
+}
+
+func newScenarioSweep(fses []*routing.Session, probs []float64, results []routing.Result, prune bool) *scenarioSweep {
+	s := &scenarioSweep{
+		fses:    fses,
+		probs:   probs,
+		results: results,
+		order:   make([]int, len(fses)),
+		prune:   prune,
+		procs:   runtime.GOMAXPROCS(0),
+		ran:     make([]int, 0, len(fses)),
+	}
+	for i := range s.order {
+		s.order[i] = i
+	}
+	return s
+}
+
+// rebase re-initializes every session on w and re-sorts the visiting
+// order.
+func (s *scenarioSweep) rebase(w *routing.WeightSetting) {
+	s.fan.Run(s.procs, len(s.fses), func(_, i int) { s.results[i] = s.fses[i].Init(w) })
+	s.sortOrder()
+}
+
+// sortOrder sorts the visiting order by descending accepted weighted
+// contribution, Λ before Φ, ties by scenario index.
+func (s *scenarioSweep) sortOrder() {
+	slices.SortFunc(s.order, func(a, b int) int {
+		pa, pb := scenarioWeight(s.probs, a), scenarioWeight(s.probs, b)
+		ca, cb := s.results[a].Cost, s.results[b].Cost
+		if c := cmp.Compare(pb*cb.Lambda, pa*ca.Lambda); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(pb*cb.Phi, pa*ca.Phi); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+}
+
+// apply applies the move to the sessions in visiting order until the
+// partial sum proves the move is not Less than cur, and returns the
+// number of sessions it skipped: a nonzero count means the move lost.
+func (s *scenarioSweep) apply(l int, wd, wt int32, cur cost.Cost) (skipped int) {
+	s.link, s.wd, s.wt, s.cur = l, wd, wt, cur
+	s.partial, s.ran = cost.Cost{}, s.ran[:0]
+	s.stop.Store(false)
+	s.fan.Run(s.procs, len(s.fses), s.applyTask)
+	return len(s.fses) - len(s.ran)
+}
+
+func (s *scenarioSweep) applyTask(_, k int) {
+	if s.stop.Load() {
+		return
+	}
+	i := s.order[k]
+	r := s.fses[i].Apply(s.link, s.wd, s.wt)
+	s.results[i] = r
+	p := scenarioWeight(s.probs, i)
+	s.mu.Lock()
+	s.ran = append(s.ran, i)
+	s.partial.Lambda += p * r.Cost.Lambda
+	s.partial.Phi += p * r.Cost.Phi
+	if s.prune && s.partial.ProvesNotLess(s.cur, len(s.fses)) {
+		s.stop.Store(true)
+	}
+	s.mu.Unlock()
+}
+
+// revert undoes the last move on the sessions it reached and restores
+// their accepted results.
+func (s *scenarioSweep) revert() {
+	s.fan.Run(s.procs, len(s.ran), s.revertTask)
+}
+
+func (s *scenarioSweep) revertTask(_, k int) {
+	i := s.ran[k]
+	s.fses[i].Revert()
+	s.results[i] = s.fses[i].Result()
 }
 
 // runPhase2 is the robust-search loop over rendered scenarios, weighted
@@ -195,16 +355,15 @@ func (o *Optimizer) runPhase2(p1 *Phase1Result, scens []phase2Scenario, probs []
 	lambdaStar := p1.Best.Cost.Lambda
 	phiBound := (1 + cfg.Chi) * p1.Best.Cost.Phi
 
-	evals := 0
+	evals, pruned := 0, 0
 	results := make([]routing.Result, len(scens))
 	weighted := func() cost.Cost { return weightedCost(probs, results) }
 	// The scenarios are independent, so every sweep over them fans out;
 	// each index owns its result slot, keeping the weighted sum
 	// deterministic.
 	var fan par.Pool
-	procs := runtime.GOMAXPROCS(0)
 	evalFail := func(w *routing.WeightSetting) cost.Cost {
-		fan.Run(procs, len(scens), func(_, i int) {
+		fan.Run(runtime.GOMAXPROCS(0), len(scens), func(_, i int) {
 			sc := &scens[i]
 			o.ev.EvaluateDemands(w, sc.mask, sc.skip, sc.demD, sc.demT, &results[i])
 		})
@@ -222,33 +381,26 @@ func (o *Optimizer) runPhase2(p1 *Phase1Result, scens []phase2Scenario, probs []
 	}
 	root.SetAttr("scenarios", int64(len(scens)))
 	var nses *routing.Session
-	var fses []*routing.Session
+	var sweep *scenarioSweep
 	if useSessions {
 		nses = o.ev.NewSession(nil, -1)
 		nses.SetSpanContext(root.TraceID(), root.ID())
 		// The loop drives the normal-conditions session alone; the
 		// scenario sessions run inside the fan-out and stay serial.
 		nses.SetParallelism()
-		fses = make([]*routing.Session, len(scens))
+		fses := make([]*routing.Session, len(scens))
 		for i, sc := range scens {
 			fses[i] = o.ev.NewScenarioSession(sc.mask, sc.skip, sc.demD, sc.demT)
 		}
+		sweep = newScenarioSweep(fses, probs, results, prunable(o.ev, scens, probs))
 	}
 	initFail := func(w *routing.WeightSetting) cost.Cost {
 		if !useSessions {
 			return evalFail(w)
 		}
-		fan.Run(procs, len(fses), func(_, i int) { results[i] = fses[i].Init(w) })
-		evals += len(fses)
+		sweep.rebase(w)
+		evals += len(scens)
 		return weighted()
-	}
-	applyFail := func(l int, wd, wt int32) cost.Cost {
-		fan.Run(procs, len(fses), func(_, i int) { results[i] = fses[i].Apply(l, wd, wt) })
-		evals += len(fses)
-		return weighted()
-	}
-	revertFail := func() {
-		fan.Run(procs, len(fses), func(_, i int) { fses[i].Revert() })
 	}
 
 	bestFail := cost.Cost{Lambda: math.Inf(1), Phi: math.Inf(1)}
@@ -297,18 +449,30 @@ func (o *Optimizer) runPhase2(p1 *Phase1Result, scens []phase2Scenario, probs []
 				accepted := false
 				// Constraints first: never trade away normal-conditions
 				// delay performance; cap throughput degradation. The
-				// failure scenarios are only touched when they pass.
+				// failure scenarios are only touched when they pass, and
+				// the session sweep stops once a partial sum proves the
+				// move lost (it still counts every scenario evaluated).
 				if cand.Cost.Lambda <= lambdaStar+1e-9 && cand.Cost.Phi <= phiBound+1e-12 {
 					var candFail cost.Cost
+					lost := false
 					if useSessions {
-						candFail = applyFail(l, wd, wt)
+						skipped := sweep.apply(l, wd, wt, curFail)
+						evals += len(scens)
+						pruned += skipped
+						lost = skipped > 0
+						if !lost {
+							candFail = weighted()
+						}
 					} else {
 						candFail = evalFail(w)
 					}
-					if candFail.Less(curFail) {
+					if !lost && candFail.Less(curFail) {
 						curFail = candFail
 						improved = true
 						accepted = true
+						if useSessions {
+							sweep.sortOrder()
+						}
 						if candFail.Less(bestFail) {
 							bestFail = candFail
 							if bestW == nil {
@@ -318,7 +482,7 @@ func (o *Optimizer) runPhase2(p1 *Phase1Result, scens []phase2Scenario, probs []
 							}
 						}
 					} else if useSessions {
-						revertFail()
+						sweep.revert()
 					}
 				}
 				if !accepted {
@@ -333,7 +497,7 @@ func (o *Optimizer) runPhase2(p1 *Phase1Result, scens []phase2Scenario, probs []
 			} else {
 				sinceImprove++
 			}
-			progress.publish(iter, evals)
+			progress.publish(iter, evals, pruned)
 		}
 		if relGain(roundStartBest, bestFail) < cfg.CFrac {
 			lowGain++
@@ -348,15 +512,16 @@ func (o *Optimizer) runPhase2(p1 *Phase1Result, scens []phase2Scenario, probs []
 		bestW = p1.Pool[0].W.Clone()
 		bestFail = evalFail(bestW)
 	}
-	progress.publish(iter, evals)
+	progress.publish(iter, evals, pruned)
 	root.SetAttr("iterations", int64(iter))
 	root.SetAttr("evals", int64(evals))
+	root.SetAttr("pruned", int64(pruned))
 	root.End()
 	res := &Phase2Result{
 		BestW:     bestW,
 		FailCost:  bestFail,
 		StartPool: len(p1.Pool),
-		Stats:     Stats{Iterations: iter, Evaluations: evals, Duration: time.Since(start)},
+		Stats:     Stats{Iterations: iter, Evaluations: evals, Pruned: pruned, Duration: time.Since(start)},
 	}
 	o.ev.EvaluateNormal(bestW, &res.Normal)
 	return res

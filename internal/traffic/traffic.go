@@ -204,7 +204,20 @@ func (m *Matrix) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jsonMatrix{N: m.n, D: m.d})
 }
 
-// UnmarshalJSON decodes a matrix, validating its shape.
+// Validate reports the first demand that is not a nonnegative number.
+// Every cost the model derives from a matrix is nonnegative only when
+// its demands are, so each boundary where a matrix enters checks it.
+func (m *Matrix) Validate() error {
+	for i, v := range m.d {
+		if !(v >= 0) {
+			return fmt.Errorf("traffic: demand %g from %d to %d is negative or NaN", v, i/m.n, i%m.n)
+		}
+	}
+	return nil
+}
+
+// UnmarshalJSON decodes a matrix, validating its shape and rejecting
+// negative demands.
 func (m *Matrix) UnmarshalJSON(data []byte) error {
 	var jm jsonMatrix
 	if err := json.Unmarshal(data, &jm); err != nil {
@@ -220,7 +233,10 @@ func (m *Matrix) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("traffic: nonzero self-demand at node %d", i)
 		}
 	}
-	m.n = jm.N
-	m.d = jm.D
+	dec := Matrix{n: jm.N, d: jm.D}
+	if err := dec.Validate(); err != nil {
+		return err
+	}
+	*m = dec
 	return nil
 }

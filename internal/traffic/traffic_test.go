@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -268,6 +269,32 @@ func TestJSONRejectsBadShape(t *testing.T) {
 	// indexed past the end).
 	if err := json.Unmarshal([]byte(`{"n":4294967296,"demands":[]}`), &m); err == nil {
 		t.Error("accepted a size whose square overflows")
+	}
+}
+
+// TestNegativeDemandsRejected: Validate names the first negative or NaN
+// demand, and the JSON decoder refuses a matrix holding one without
+// touching its target.
+func TestNegativeDemandsRejected(t *testing.T) {
+	m := NewMatrix(3)
+	m.Set(0, 1, 2)
+	if err := m.Validate(); err != nil {
+		t.Fatalf("nonnegative matrix rejected: %v", err)
+	}
+	m.Set(2, 1, -1000)
+	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "from 2 to 1") {
+		t.Errorf("negative demand: Validate = %v", err)
+	}
+	m.Set(2, 1, math.NaN())
+	if err := m.Validate(); err == nil {
+		t.Error("NaN demand passed Validate")
+	}
+	back := NewMatrix(1)
+	if err := json.Unmarshal([]byte(`{"n":2,"demands":[0,-1000,3,0]}`), back); err == nil {
+		t.Error("decoded a matrix with a negative demand")
+	}
+	if back.Size() != 1 {
+		t.Errorf("rejected decode changed the target to size %d", back.Size())
 	}
 }
 
